@@ -7,7 +7,7 @@ GO ?= go
 # mid-flight; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check build vet lint cuckoovet test race bench bench-smoke bench-txn bench-hotalloc bench-grow bench-replica fuzz chaos loadgen-smoke metrics-smoke
+.PHONY: check build vet lint cuckoovet test race perfbench-test bench bench-smoke bench-txn bench-hotalloc bench-grow bench-replica fuzz chaos loadgen-smoke metrics-smoke
 
 check: build vet lint race
 
@@ -43,6 +43,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The repo benchmark (perfbench/, BENCHMARK.json) is its own module, so
+# the root `go test ./...` never builds it; this vets and tests it against
+# the working tree, which catches a server API change that would break it.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Deterministic chaos suite (docs/ROBUSTNESS.md): fault-injected workloads,
 # fault-tolerant clients, drain/restore — always under -race and -count=1

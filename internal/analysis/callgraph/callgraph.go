@@ -306,6 +306,23 @@ func run(pass *analysis.Pass) (any, error) {
 	for _, w := range todo {
 		b.fill(w.sum, w.fb)
 	}
+	// Package-level initializers store into func-typed fields too
+	// (dispatch tables); literal bodies were already walked by fill.
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+				ast.Inspect(gd, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.FuncLit:
+						return false
+					case *ast.CompositeLit:
+						b.compositeFieldFuncs(x)
+					}
+					return true
+				})
+			}
+		}
+	}
 	for fn, sum := range g.Funcs {
 		pass.ExportObjectFact(fn.Origin(), &FuncFact{S: sum})
 	}

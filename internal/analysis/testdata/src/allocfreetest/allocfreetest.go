@@ -129,6 +129,21 @@ func badFieldCall(h *hooks) {
 	h.onHit()
 }
 
+type verbEntry struct{ run func(t *table) }
+
+func appendOne(t *table) {
+	t.vals = append(t.vals, 1) // want `allocation \(append\) \(append\) reachable from //cuckoo:hotpath root allocfreetest\.badTableCall: allocfreetest\.badTableCall -> allocfreetest\.appendOne`
+}
+
+// verbTable is a package-level dispatch table: its initializer's stores
+// into the func-typed field count like stores inside a function body.
+var verbTable = [...]verbEntry{{run: appendOne}}
+
+//cuckoo:hotpath calls through a package-level table's func fields resolve too
+func badTableCall(t *table, i int) {
+	verbTable[i].run(t)
+}
+
 type box[V any] struct{ vals []V }
 
 func (b *box[V]) add(v V) {

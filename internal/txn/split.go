@@ -165,22 +165,22 @@ func (t *splitTable) drainRemove(key string) (addSum int64, maxVal int64, haveMa
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		p, ok := sh.deltas[key]
-		if ok {
+		if p, ok := sh.deltas[key]; ok {
 			delete(sh.deltas, key)
 			p.dead = true
+			if p.ops > 0 {
+				addSum += p.add
+				if p.class == classMax && (!haveMax || p.max > maxVal) {
+					maxVal, haveMax = p.max, true
+				}
+				ops += p.ops
+				// Zero the drained slot: a promotion racing this unlink
+				// may have adopted it into a new hot entry, whose next
+				// drainZero must not fold these ops a second time.
+				p.add, p.max, p.ops = 0, 0, 0
+			}
 		}
 		sh.mu.Unlock()
-		if !ok {
-			continue
-		}
-		if p.ops > 0 {
-			addSum += p.add
-			if p.class == classMax && (!haveMax || p.max > maxVal) {
-				maxVal, haveMax = p.max, true
-			}
-			ops += p.ops
-		}
 	}
 	return addSum, maxVal, haveMax, ops
 }
@@ -355,6 +355,11 @@ func (s *Store) Tick() {
 	// and rebuilding from a stale snapshot would silently drop it.
 	t.promoteMu.Lock()
 	hot = t.hot.Load()
+	if hot == nil {
+		// A concurrent Tick demoted every key since the load above.
+		t.promoteMu.Unlock()
+		return
+	}
 	var demote []string
 	next := make(map[string]hotEntry, len(*hot))
 	for k, e := range *hot {

@@ -438,3 +438,33 @@ func TestEpochStableCommitsFirstTry(t *testing.T) {
 		t.Fatalf("EpochAborts = %d, want 0", st.EpochAborts)
 	}
 }
+
+// TestConcurrentTickDrainsHotSet races Ticks while the hot set demotes
+// to empty. A Tick that saw a non-empty hot set before taking promoteMu
+// must tolerate another Tick having stored the empty (nil) set meanwhile.
+func TestConcurrentTickDrainsHotSet(t *testing.T) {
+	const rounds, tickers = 500, 4
+	s := New(newMapKV(), Config{PromoteAfter: 1})
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < 8; i++ {
+			s.Promote("k" + strconv.Itoa(i))
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < tickers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 3; i++ {
+					s.Tick()
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if n := s.StatsSnapshot().HotKeys; n != 0 {
+			t.Fatalf("round %d: %d hot keys left after idle ticks", r, n)
+		}
+	}
+}

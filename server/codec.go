@@ -61,59 +61,64 @@ const (
 	opBad opCode = 0xff
 )
 
+// verbSpec declares one wire verb. The verbs table is the only place a
+// verb's metadata lives: the codec's name lookup, opCode.String, the
+// stage-latency labels, the -max-inflight gate and MULTI queueing all
+// read it, so adding a verb means adding one entry here (plus its case
+// in serveRequest's execution switch).
+type verbSpec struct {
+	name  string // wire name, upper case; matched case-insensitively
+	parse func(op opCode, rest []byte) (request, error)
+	// stage is the verb label its sampled spans are filed under in
+	// cuckood_stage_seconds; verbs sharing a code path share a label,
+	// and "" files the verb under "other".
+	stage string
+	// exempt verbs skip the -max-inflight gate: they never touch the
+	// cache, or (QUIT) must work on an overloaded server.
+	exempt bool
+	// multiCtl marks the MULTI envelope (MULTI, EXEC, DISCARD): inside an
+	// open transaction these execute rather than queue.
+	multiCtl bool
+	// queues reports whether the verb may be queued inside MULTI, as a
+	// txnKind op; every other verb poisons the transaction.
+	queues  bool
+	txnKind txn.OpKind
+}
+
+// verbs is indexed by opCode. The codec compares names in table order,
+// so GET and SET lead.
+var verbs = [...]verbSpec{
+	opGet:       {name: "GET", parse: parseKeyOnly, stage: "GET", queues: true, txnKind: txn.OpGet},
+	opSet:       {name: "SET", parse: parseSet, stage: "SET", queues: true, txnKind: txn.OpSet},
+	opSetEx:     {name: "SETEX", parse: parseSetTTL, stage: "SET", queues: true, txnKind: txn.OpSet},
+	opDel:       {name: "DEL", parse: parseKeyOnly, stage: "DEL", queues: true, txnKind: txn.OpDel},
+	opTTL:       {name: "TTL", parse: parseKeyOnly, stage: "TTL"},
+	opStats:     {name: "STATS", parse: parseNoArgs, stage: "STATS", exempt: true},
+	opQuit:      {name: "QUIT", parse: parseQuit, exempt: true},
+	opCluster:   {name: "CLUSTER", parse: parseNoArgs, stage: "CLUSTER", exempt: true},
+	opMigrate:   {name: "MIGRATE", parse: parseMigrate, stage: "MIGRATE"},
+	opHandoff:   {name: "HANDOFF", parse: parseHandoff, stage: "HANDOFF"},
+	opIncr:      {name: "INCR", parse: parseCounter, stage: "INCR", queues: true, txnKind: txn.OpIncr},
+	opDecr:      {name: "DECR", parse: parseCounter, stage: "INCR", queues: true, txnKind: txn.OpIncr},
+	opAdd:       {name: "ADD", parse: parseCounter, stage: "INCR", queues: true, txnKind: txn.OpIncr},
+	opMaxUpdate: {name: "MAXUPDATE", parse: parseCounter, stage: "MAXUPDATE", queues: true, txnKind: txn.OpMax},
+	opCAS:       {name: "CAS", parse: parseCAS, stage: "CAS", queues: true, txnKind: txn.OpCAS},
+	opMulti:     {name: "MULTI", parse: parseNoArgs, exempt: true, multiCtl: true},
+	opExec:      {name: "EXEC", parse: parseNoArgs, stage: "EXEC", multiCtl: true},
+	opDiscard:   {name: "DISCARD", parse: parseNoArgs, exempt: true, multiCtl: true},
+	opHotKeys:   {name: "HOTKEYS", parse: parseHotKeys, stage: "HOTKEYS", exempt: true},
+	opGetV:      {name: "GETV", parse: parseKeyOnly, stage: "GET"},
+	opSetV:      {name: "SETV", parse: parseSetTTL, stage: "SET"},
+	opLease:     {name: "LEASE", parse: parseKeyOnly, stage: "LEASE"},
+	opSetLease:  {name: "SETL", parse: parseSetLease, stage: "LEASE"},
+	opReplSet:   {name: "REPLSET", parse: parseReplSet, stage: "REPL"},
+	opReplDel:   {name: "REPLDEL", parse: parseReplDel, stage: "REPL"},
+}
+
 // String names the op for structured logs.
 func (o opCode) String() string {
-	switch o {
-	case opGet:
-		return "GET"
-	case opSet:
-		return "SET"
-	case opSetEx:
-		return "SETEX"
-	case opDel:
-		return "DEL"
-	case opTTL:
-		return "TTL"
-	case opStats:
-		return "STATS"
-	case opQuit:
-		return "QUIT"
-	case opCluster:
-		return "CLUSTER"
-	case opMigrate:
-		return "MIGRATE"
-	case opHandoff:
-		return "HANDOFF"
-	case opIncr:
-		return "INCR"
-	case opDecr:
-		return "DECR"
-	case opAdd:
-		return "ADD"
-	case opMaxUpdate:
-		return "MAXUPDATE"
-	case opCAS:
-		return "CAS"
-	case opMulti:
-		return "MULTI"
-	case opExec:
-		return "EXEC"
-	case opDiscard:
-		return "DISCARD"
-	case opHotKeys:
-		return "HOTKEYS"
-	case opGetV:
-		return "GETV"
-	case opSetV:
-		return "SETV"
-	case opLease:
-		return "LEASE"
-	case opSetLease:
-		return "SETL"
-	case opReplSet:
-		return "REPLSET"
-	case opReplDel:
-		return "REPLDEL"
+	if int(o) < len(verbs) {
+		return verbs[o].name
 	}
 	return "INVALID"
 }
@@ -227,100 +232,44 @@ func parseRequest1(line []byte, allowTrace bool) (request, error) {
 		req.trace = id
 		return req, nil
 	}
-	switch {
-	case asciiEqualFold(cmd, "GET"):
-		return parseKeyOnly(opGet, rest)
-	case asciiEqualFold(cmd, "DEL"):
-		return parseKeyOnly(opDel, rest)
-	case asciiEqualFold(cmd, "TTL"):
-		return parseKeyOnly(opTTL, rest)
-	case asciiEqualFold(cmd, "SET"):
-		key, val := nextToken(rest)
-		if len(key) == 0 || val == nil {
-			return request{}, errBadArgs
+	for i := range verbs {
+		if asciiEqualFold(cmd, verbs[i].name) {
+			return verbs[i].parse(opCode(i), rest)
 		}
-		if len(key) > maxKeyLen {
-			return request{}, errKeyTooLong
-		}
-		return request{op: opSet, key: key, val: val}, nil
-	case asciiEqualFold(cmd, "SETEX"):
-		key, rest2 := nextToken(rest)
-		ttlTok, val := nextToken(rest2)
-		if len(key) == 0 || len(ttlTok) == 0 || val == nil {
-			return request{}, errBadArgs
-		}
-		if len(key) > maxKeyLen {
-			return request{}, errKeyTooLong
-		}
-		//lint:allow cuckoovet:allocfree the TTL token is copied for strconv; SETEX pays one bounded copy, GET/SET none
-		ms, err := strconv.ParseUint(string(ttlTok), 10, 32)
-		if err != nil || ms == 0 {
-			return request{}, errBadTTL
-		}
-		return request{op: opSetEx, key: key, ttl: time.Duration(ms) * time.Millisecond, val: val}, nil
-	case asciiEqualFold(cmd, "STATS"):
-		if len(rest) != 0 {
-			return request{}, errBadArgs
-		}
-		return request{op: opStats}, nil
-	case asciiEqualFold(cmd, "QUIT"):
-		return request{op: opQuit}, nil
-	case asciiEqualFold(cmd, "CLUSTER"):
-		if len(rest) != 0 {
-			return request{}, errBadArgs
-		}
-		return request{op: opCluster}, nil
-	case asciiEqualFold(cmd, "HANDOFF"):
-		return parseHandoff(rest)
-	case asciiEqualFold(cmd, "MIGRATE"):
-		return parseMigrate(rest)
-	case asciiEqualFold(cmd, "INCR"):
-		return parseCounter(opIncr, rest, false)
-	case asciiEqualFold(cmd, "DECR"):
-		return parseCounter(opDecr, rest, false)
-	case asciiEqualFold(cmd, "ADD"):
-		return parseCounter(opAdd, rest, true)
-	case asciiEqualFold(cmd, "MAXUPDATE"):
-		return parseCounter(opMaxUpdate, rest, true)
-	case asciiEqualFold(cmd, "CAS"):
-		return parseCAS(rest)
-	case asciiEqualFold(cmd, "MULTI"):
-		if len(rest) != 0 {
-			return request{}, errBadArgs
-		}
-		return request{op: opMulti}, nil
-	case asciiEqualFold(cmd, "EXEC"):
-		if len(rest) != 0 {
-			return request{}, errBadArgs
-		}
-		return request{op: opExec}, nil
-	case asciiEqualFold(cmd, "DISCARD"):
-		if len(rest) != 0 {
-			return request{}, errBadArgs
-		}
-		return request{op: opDiscard}, nil
-	case asciiEqualFold(cmd, "HOTKEYS"):
-		return parseHotKeys(rest)
-	case asciiEqualFold(cmd, "GETV"):
-		return parseKeyOnly(opGetV, rest)
-	case asciiEqualFold(cmd, "SETV"):
-		return parseSetV(rest)
-	case asciiEqualFold(cmd, "LEASE"):
-		return parseKeyOnly(opLease, rest)
-	case asciiEqualFold(cmd, "SETL"):
-		return parseSetLease(rest)
-	case asciiEqualFold(cmd, "REPLSET"):
-		return parseReplSet(rest)
-	case asciiEqualFold(cmd, "REPLDEL"):
-		return parseReplDel(rest)
 	}
 	return request{}, errUnknownCmd
 }
 
-// parseSetV parses SETV <key> <ttl_ms> <val>: SET returning the write's
-// version word. Unlike SETEX, ttl 0 is legal and means no expiry, so
-// one verb covers both SET and SETEX shapes for version-aware clients.
-func parseSetV(rest []byte) (request, error) {
+// parseNoArgs parses the verbs that take no operands.
+func parseNoArgs(op opCode, rest []byte) (request, error) {
+	if len(rest) != 0 {
+		return request{}, errBadArgs
+	}
+	return request{op: op}, nil
+}
+
+// parseQuit accepts QUIT with anything after it: a client on its way
+// out is never refused.
+func parseQuit(op opCode, _ []byte) (request, error) {
+	return request{op: op}, nil
+}
+
+func parseSet(op opCode, rest []byte) (request, error) {
+	key, val := nextToken(rest)
+	if len(key) == 0 || val == nil {
+		return request{}, errBadArgs
+	}
+	if len(key) > maxKeyLen {
+		return request{}, errKeyTooLong
+	}
+	return request{op: op, key: key, val: val}, nil
+}
+
+// parseSetTTL parses SETEX and SETV, both <key> <ttl_ms> <val>. SETEX
+// needs a positive TTL; SETV (SET returning the write's version word)
+// also takes 0 for no expiry, so one verb covers both SET and SETEX
+// shapes for version-aware clients.
+func parseSetTTL(op opCode, rest []byte) (request, error) {
 	key, rest2 := nextToken(rest)
 	ttlTok, val := nextToken(rest2)
 	if len(key) == 0 || len(ttlTok) == 0 || val == nil {
@@ -329,18 +278,18 @@ func parseSetV(rest []byte) (request, error) {
 	if len(key) > maxKeyLen {
 		return request{}, errKeyTooLong
 	}
-	//lint:allow cuckoovet:allocfree the TTL token is copied for strconv; SETV pays one bounded copy like SETEX
+	//lint:allow cuckoovet:allocfree the TTL token is copied for strconv; SETEX/SETV pay one bounded copy, GET/SET none
 	ms, err := strconv.ParseUint(string(ttlTok), 10, 32)
-	if err != nil {
+	if err != nil || (ms == 0 && op == opSetEx) {
 		return request{}, errBadTTL
 	}
-	return request{op: opSetV, key: key, ttl: time.Duration(ms) * time.Millisecond, val: val}, nil
+	return request{op: op, key: key, ttl: time.Duration(ms) * time.Millisecond, val: val}, nil
 }
 
 // parseSetLease parses SETL <key> <token> <ttl_ms> <val>: the lease
 // winner's fill. token is the hex word a LEASE grant handed out; ttl 0
 // means no expiry.
-func parseSetLease(rest []byte) (request, error) {
+func parseSetLease(op opCode, rest []byte) (request, error) {
 	key, rest2 := nextToken(rest)
 	tokTok, rest3 := nextToken(rest2)
 	ttlTok, val := nextToken(rest3)
@@ -363,14 +312,14 @@ func parseSetLease(rest []byte) (request, error) {
 	if err != nil {
 		return request{}, errBadTTL
 	}
-	return request{op: opSetLease, key: key, ver: token, ttl: time.Duration(ms) * time.Millisecond, val: val}, nil
+	return request{op: op, key: key, ver: token, ttl: time.Duration(ms) * time.Millisecond, val: val}, nil
 }
 
 // parseReplSet parses REPLSET <key> <ver> <expireAtNs> <val>, the
 // inbound mirror write. ver is the origin's version word; expireAt is
 // absolute unix nanoseconds (0 = no expiry) so TTLs survive the hop
 // without clock math.
-func parseReplSet(rest []byte) (request, error) {
+func parseReplSet(op opCode, rest []byte) (request, error) {
 	key, rest2 := nextToken(rest)
 	verTok, rest3 := nextToken(rest2)
 	expTok, val := nextToken(rest3)
@@ -390,11 +339,11 @@ func parseReplSet(rest []byte) (request, error) {
 	if err != nil || exp < 0 {
 		return request{}, errBadDelta
 	}
-	return request{op: opReplSet, key: key, ver: ver, delta: exp, val: val}, nil
+	return request{op: op, key: key, ver: ver, delta: exp, val: val}, nil
 }
 
 // parseReplDel parses REPLDEL <key> <ver>, the mirrored tombstone.
-func parseReplDel(rest []byte) (request, error) {
+func parseReplDel(op opCode, rest []byte) (request, error) {
 	key, rest2 := nextToken(rest)
 	verTok, extra := nextToken(rest2)
 	if len(key) == 0 || len(verTok) == 0 || extra != nil {
@@ -408,7 +357,7 @@ func parseReplDel(rest []byte) (request, error) {
 	if err != nil || ver == 0 {
 		return request{}, errBadVer
 	}
-	return request{op: opReplDel, key: key, ver: ver}, nil
+	return request{op: op, key: key, ver: ver}, nil
 }
 
 // maxTraceIDLen mirrors obs.MaxTraceIDLen without importing obs into
@@ -424,7 +373,7 @@ const (
 
 // parseHotKeys parses HOTKEYS [count]; count defaults to 10 and rides
 // in req.delta.
-func parseHotKeys(rest []byte) (request, error) {
+func parseHotKeys(op opCode, rest []byte) (request, error) {
 	n := int64(10)
 	tok, extra := nextToken(rest)
 	if len(tok) != 0 {
@@ -438,7 +387,7 @@ func parseHotKeys(rest []byte) (request, error) {
 		}
 		n = v
 	}
-	return request{op: opHotKeys, delta: n}, nil
+	return request{op: op, delta: n}, nil
 }
 
 // parseCounter parses the arithmetic verbs:
@@ -448,7 +397,7 @@ func parseHotKeys(rest []byte) (request, error) {
 //
 // delta is a signed 64-bit integer; DECR negates it at parse time so the
 // dispatch layer sees a single add-delta operation.
-func parseCounter(op opCode, rest []byte, operandRequired bool) (request, error) {
+func parseCounter(op opCode, rest []byte) (request, error) {
 	key, rest2 := nextToken(rest)
 	if len(key) == 0 {
 		return request{}, errBadArgs
@@ -468,7 +417,7 @@ func parseCounter(op opCode, rest []byte, operandRequired bool) (request, error)
 			return request{}, errBadDelta
 		}
 		delta = d
-	} else if operandRequired {
+	} else if op == opAdd || op == opMaxUpdate {
 		return request{}, errBadArgs
 	}
 	if op == opDecr {
@@ -480,7 +429,7 @@ func parseCounter(op opCode, rest []byte, operandRequired bool) (request, error)
 // parseCAS parses CAS <key> <old> <new>. old is a single token (a CAS
 // against a value containing spaces is not expressible in this text
 // protocol); new is the rest of the line and may contain spaces.
-func parseCAS(rest []byte) (request, error) {
+func parseCAS(op opCode, rest []byte) (request, error) {
 	key, rest2 := nextToken(rest)
 	old, newVal := nextToken(rest2)
 	if len(key) == 0 || len(old) == 0 || newVal == nil {
@@ -489,7 +438,7 @@ func parseCAS(rest []byte) (request, error) {
 	if len(key) > maxKeyLen {
 		return request{}, errKeyTooLong
 	}
-	return request{op: opCAS, key: key, old: old, val: newVal}, nil
+	return request{op: op, key: key, old: old, val: newVal}, nil
 }
 
 // handoffMaxBytes bounds one HANDOFF bulk payload. A length past it is a
@@ -501,7 +450,7 @@ const (
 	handoffMaxStr   = "67108864"
 )
 
-func parseHandoff(rest []byte) (request, error) {
+func parseHandoff(op opCode, rest []byte) (request, error) {
 	tok, extra := nextToken(rest)
 	if len(tok) == 0 || extra != nil {
 		return request{}, errBadArgs
@@ -511,11 +460,11 @@ func parseHandoff(rest []byte) (request, error) {
 	if err != nil || n == 0 || n > handoffMaxBytes {
 		return request{}, errBadPayload
 	}
-	return request{op: opHandoff, payload: n}, nil
+	return request{op: op, payload: n}, nil
 }
 
 //cuckoo:coldpath MIGRATE is a rare admin verb; it copies every operand out of the read buffer by design
-func parseMigrate(rest []byte) (request, error) {
+func parseMigrate(op opCode, rest []byte) (request, error) {
 	fields := bytes.Fields(rest)
 	if len(fields) != 6 {
 		return request{}, errBadMigrate
@@ -532,7 +481,7 @@ func parseMigrate(rest []byte) (request, error) {
 	if err != nil {
 		return request{}, errBadMigrate
 	}
-	return request{op: opMigrate, mig: &migrateArgs{
+	return request{op: op, mig: &migrateArgs{
 		mode: mode,
 		dest: string(fields[1]),
 		self: string(fields[2]),

@@ -187,7 +187,7 @@ func (s *Server) serveBatchHead(line []byte, r *bufio.Reader, w *bufio.Writer, c
 			cs.span.Finish(durNs)
 			if sample {
 				st.recordLatency(cs.latShard, uint64(durNs))
-				st.stages.RecordSpan(verbClassOf(req.op), cs.latShard, &cs.span)
+				st.stages.RecordSpan(req.op.stage(), cs.latShard, &cs.span)
 				if len(req.key) > 0 {
 					st.touchHot(cs.latShard, req.key)
 				}
@@ -262,7 +262,7 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 	// touches only this connection's buffer, never the cache. EXEC,
 	// DISCARD, and MULTI itself fall through to dispatch (a nested MULTI
 	// is an error, but — like Redis — not one that aborts the queue).
-	if cs.inTxn && req.op != opExec && req.op != opDiscard && req.op != opMulti {
+	if cs.inTxn && !verbs[req.op].multiCtl {
 		if req.op == opQuit {
 			return req, true
 		}
@@ -271,15 +271,12 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 	}
 	// In-flight limit: cache-touching ops past MaxInflight fail fast with
 	// "ERR busy" (retryable; the request did not execute) instead of
-	// queueing behind a saturated table. STATS stays exempt so operators
-	// can always observe an overloaded server, QUIT so drains always
-	// work, and CLUSTER so rebalance decisions can be made while the
-	// node is overloaded — which is exactly when they matter.
-	// HOTKEYS is exempt like STATS: it only folds the sketches, never
-	// touches the cache, and is most useful exactly when the server is
-	// overloaded by a hot key.
-	if s.inflight != nil && req.op != opStats && req.op != opQuit && req.op != opCluster &&
-		req.op != opMulti && req.op != opDiscard && req.op != opHotKeys {
+	// queueing behind a saturated table. Exempt verbs (verbSpec.exempt)
+	// bypass the gate: STATS, CLUSTER and HOTKEYS so an overloaded node
+	// stays observable and rebalanceable — exactly when that matters —
+	// MULTI and DISCARD because they touch only this connection's queue,
+	// and QUIT so drains always work.
+	if s.inflight != nil && !verbs[req.op].exempt {
 		t0 = cs.span.Begin()
 		select {
 		case s.inflight <- struct{}{}:
@@ -577,29 +574,20 @@ func (s *Server) queueTxnOp(w *bufio.Writer, cs *connState, req request) {
 		s.replyErr(w, cs, errTxnTooLong)
 		return
 	}
-	op := txn.Op{Key: string(req.key)}
-	switch req.op {
-	case opGet:
-		op.Kind = txn.OpGet
-	case opSet:
-		op.Kind, op.Val = txn.OpSet, string(req.val)
-	case opSetEx:
-		op.Kind, op.Val = txn.OpSet, string(req.val)
-		op.ExpireAt = time.Now().Add(req.ttl).UnixNano()
-	case opDel:
-		op.Kind = txn.OpDel
-	case opIncr, opDecr, opAdd:
-		op.Kind, op.Delta = txn.OpIncr, req.delta
-	case opMaxUpdate:
-		op.Kind, op.Delta = txn.OpMax, req.delta
-	case opCAS:
-		op.Kind, op.Old, op.Val = txn.OpCAS, string(req.old), string(req.val)
-	default:
-		// Admin and bulk verbs (STATS, CLUSTER, MIGRATE, HANDOFF, MULTI)
-		// have no transactional meaning; reject and poison.
+	v := &verbs[req.op]
+	if !v.queues {
+		// Admin, bulk and versioned verbs have no transactional meaning;
+		// reject and poison.
 		cs.txnBad = true
 		s.replyErr(w, cs, errNotInTxn)
 		return
+	}
+	// Operands a kind does not use are empty in req, so copying all of
+	// them is exact.
+	op := txn.Op{Kind: v.txnKind, Key: string(req.key), Val: string(req.val),
+		Old: string(req.old), Delta: req.delta}
+	if req.ttl > 0 {
+		op.ExpireAt = time.Now().Add(req.ttl).UnixNano()
 	}
 	cs.txnOps = append(cs.txnOps, op)
 	writeQueued(w)

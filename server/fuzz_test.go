@@ -107,6 +107,11 @@ func FuzzParseCommand(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	// One minimal valid line per verbs entry, so a new verb is seeded
+	// the moment it is declared.
+	for op := range verbs {
+		f.Add([]byte(verbLine(opCode(op))))
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		if bytes.ContainsAny(line, "\r\n") {
 			// readLine strips line terminators before parseRequest ever

@@ -50,9 +50,9 @@ type Config struct {
 	// unbounded goroutine and fd growth. Zero means unlimited.
 	MaxConns int
 	// MaxInflight bounds requests executing against the cache at once
-	// (STATS and QUIT are exempt); excess requests fail fast with
-	// "ERR busy" rather than queueing behind a saturated table. Zero
-	// means unlimited.
+	// (verbs marked exempt in the verbs table are not counted); excess
+	// requests fail fast with "ERR busy" rather than queueing behind a
+	// saturated table. Zero means unlimited.
 	MaxInflight int
 	// IOTimeout bounds each response flush; a client that stops reading
 	// for longer has its connection closed. Zero means no limit.
