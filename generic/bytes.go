@@ -11,6 +11,7 @@ import "hash/maphash"
 //     every non-empty b (TestBytesHashEquivalence guards this; the two
 //     differ for the empty string, which is why the empty key falls back
 //     to Get — a zero-length conversion is allocation-free anyway).
+//     The partial-key tag comes from the same hash, so it agrees too.
 //   - arr.keys[i] == string(key) compiles to a pointer/length compare
 //     plus memcmp with no allocation (a recognized free-conversion
 //     position, like map indexing).
@@ -21,6 +22,7 @@ func GetBytes[V any](t *Table[string, V], key []byte) (V, bool) {
 		return t.Get("")
 	}
 	h := maphash.Bytes(t.seed, key)
+	tag := tagOf(h)
 	var lockBuf [8]uint64
 	for {
 		st := t.loadState()
@@ -32,7 +34,7 @@ func GetBytes[V any](t *Table[string, V], key []byte) (V, bool) {
 		for _, g := range st.olds {
 			ob1, ob2 := t.twoBuckets(h, g.arr.buckets)
 			for _, b := range [2]uint64{ob1, ob2} {
-				if i, ok := findBytes(g.arr, b, t.assoc, key); ok {
+				if i, ok := findBytes(g.arr, b, t.assoc, tag, key); ok {
 					v := g.arr.vals[i]
 					t.locks.UnlockOrdered(locked)
 					return v, true
@@ -41,7 +43,7 @@ func GetBytes[V any](t *Table[string, V], key []byte) (V, bool) {
 		}
 		b1, b2 := t.twoBuckets(h, st.live.buckets)
 		for _, b := range [2]uint64{b1, b2} {
-			if i, ok := findBytes(st.live, b, t.assoc, key); ok {
+			if i, ok := findBytes(st.live, b, t.assoc, tag, key); ok {
 				v := st.live.vals[i]
 				t.locks.UnlockOrdered(locked)
 				return v, true
@@ -54,12 +56,15 @@ func GetBytes[V any](t *Table[string, V], key []byte) (V, bool) {
 }
 
 // findBytes is find with a byte-slice probe; caller holds b's stripe.
-func findBytes[V any](arr *tArrays[string, V], b, assoc uint64, key []byte) (uint64, bool) {
+// The tag compare runs first, so a non-matching occupied slot costs one
+// byte load instead of a memcmp.
+func findBytes[V any](arr *tArrays[string, V], b, assoc uint64, tag uint8, key []byte) (uint64, bool) {
 	occ := arr.occ[b]
 	base := b * assoc
 	for s := 0; occ != 0; s, occ = s+1, occ>>1 {
-		if occ&1 != 0 && arr.keys[base+uint64(s)] == string(key) {
-			return base + uint64(s), true
+		i := base + uint64(s)
+		if occ&1 != 0 && arr.tags[i] == tag && arr.keys[i] == string(key) {
+			return i, true
 		}
 	}
 	return 0, false

@@ -12,7 +12,9 @@ import (
 // maphash.Bytes(seed, []byte(s)) (and maphash.String(seed, s)). The
 // empty string is the documented exception — Comparable mixes in type
 // identity that the byte hash of zero bytes does not — which is why
-// GetBytes routes the empty key through Get instead.
+// GetBytes routes the empty key through Get instead. The partial-key
+// tag GetBytes compares is drawn from the byte hash, so it must agree
+// with the tag the write path stored from the Comparable hash.
 func TestBytesHashEquivalence(t *testing.T) {
 	seed := maphash.MakeSeed()
 	rng := rand.New(rand.NewSource(1))
@@ -26,6 +28,9 @@ func TestBytesHashEquivalence(t *testing.T) {
 		}
 		if maphash.String(seed, s) != maphash.Bytes(seed, b) {
 			t.Fatalf("String != Bytes for %q", s)
+		}
+		if tagOf(maphash.Comparable(seed, s)) != tagOf(maphash.Bytes(seed, b)) {
+			t.Fatalf("tag from Comparable != tag from Bytes for %q", s)
 		}
 	}
 }

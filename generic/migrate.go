@@ -364,7 +364,7 @@ func (t *Table[K, V]) moveOldSlot(st *genState[K, V], g *oldGen[K, V], ob, s uin
 	live := st.live
 	for _, nb := range [2]uint64{nb1, nb2} {
 		if fs, ok := freeSlot(live.occ[nb], int(t.assoc)); ok {
-			t.placeNoCount(live, nb, fs, key, g.arr.vals[i])
+			t.placeNoCount(live, nb, fs, g.arr.tags[i], key, g.arr.vals[i])
 			t.clearSlot(g.arr, ob, i)
 			return true
 		}

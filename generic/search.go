@@ -124,6 +124,7 @@ func (t *Table[K, V]) displace(st *genState[K, V], src, dst pathEntry[K]) bool {
 	di := dst.bucket*t.assoc + uint64(dst.slot)
 	arr.keys[di] = arr.keys[si]
 	arr.vals[di] = arr.vals[si]
+	arr.tags[di] = arr.tags[si]
 	arr.occ[dst.bucket] |= 1 << uint(dst.slot)
 	t.clearSlot(arr, src.bucket, si)
 	t.stats.displacements.add(src.bucket, 1)

@@ -101,10 +101,16 @@ type Table[K comparable, V any] struct {
 	migratedBuckets atomic.Uint64
 }
 
+// tArrays is one generation's bucket arrays. tags holds each slot's
+// partial key (tagOf of the key's hash): a probe compares the one-byte
+// tag before the key, so it almost never dereferences a key that does
+// not match — MemC3's tag (§3) and libcuckoo's partial_t. The tag is a
+// filter only; the key compare still decides a match.
 type tArrays[K comparable, V any] struct {
 	buckets uint64
 	keys    []K
 	vals    []V
+	tags    []uint8
 	occ     []uint32 // guarded by the bucket's lock stripe
 }
 
@@ -151,6 +157,7 @@ func (t *Table[K, V]) newArrays(buckets uint64) *tArrays[K, V] {
 		buckets: buckets,
 		keys:    make([]K, buckets*t.assoc),
 		vals:    make([]V, buckets*t.assoc),
+		tags:    make([]uint8, buckets*t.assoc),
 		occ:     make([]uint32, buckets),
 	}
 }
@@ -172,6 +179,12 @@ func (t *Table[K, V]) LockStats() spinlock.StripeStats { return t.locks.Stats() 
 func (t *Table[K, V]) hash(key K) uint64 {
 	return maphash.Comparable(t.seed, key)
 }
+
+// tagOf is a key's partial-key tag: hash bits 24..31. The alternate
+// bucket comes from the high word and the primary from the low
+// log2(buckets) bits, so below 2^24 buckets no bucket choice reads
+// these bits and keys sharing a bucket still spread over all 256 tags.
+func tagOf(h uint64) uint8 { return uint8(h >> 24) }
 
 func (t *Table[K, V]) twoBuckets(h, buckets uint64) (uint64, uint64) {
 	mask := buckets - 1
@@ -200,18 +213,31 @@ func (t *Table[K, V]) lockPair(b1, b2 uint64) (uint64, uint64) {
 
 // lockAllGens acquires, in globally ascending order, the stripes of the
 // key's candidate buckets in every generation of st: the two live
-// candidates plus two per draining generation. buf is caller scratch so
-// the common cases stay allocation-free.
+// candidates plus two per draining generation. With no migration in
+// flight — the steady state — it is a plain LockPair; only a draining
+// table pays for building, sorting and deduplicating the set. buf is
+// caller scratch so the common cases stay allocation-free.
 func (t *Table[K, V]) lockAllGens(st *genState[K, V], h uint64, buf []uint64) []uint64 {
 	b1, b2 := t.twoBuckets(h, st.live.buckets)
-	//lint:allow cuckoovet:allocfree appends fill the caller's fixed 8-slot scratch: live pair plus two per draining generation spills only past three concurrent generations
-	buf = append(buf, t.locks.IndexFor(b1), t.locks.IndexFor(b2))
-	for _, g := range st.olds {
-		ob1, ob2 := t.twoBuckets(h, g.arr.buckets)
+	l1, l2 := t.locks.IndexFor(b1), t.locks.IndexFor(b2)
+	if len(st.olds) == 0 {
+		t.locks.LockPair(l1, l2)
+		buf = buf[:2]
+		buf[0], buf[1] = l1, l2
+		if l1 == l2 {
+			buf = buf[:1]
+		}
+	} else {
 		//lint:allow cuckoovet:allocfree appends fill the caller's fixed 8-slot scratch: live pair plus two per draining generation spills only past three concurrent generations
-		buf = append(buf, t.locks.IndexFor(ob1), t.locks.IndexFor(ob2))
+		buf = append(buf, l1, l2)
+		for _, g := range st.olds {
+			ob1, ob2 := t.twoBuckets(h, g.arr.buckets)
+			//lint:allow cuckoovet:allocfree appends fill the caller's fixed 8-slot scratch: live pair plus two per draining generation spills only past three concurrent generations
+			buf = append(buf, t.locks.IndexFor(ob1), t.locks.IndexFor(ob2))
+		}
+		buf = t.locks.LockOrdered(buf)
 	}
-	return t.locks.LockOrdered(buf)
+	return buf
 }
 
 // Get returns the value for key. The candidate buckets' locks are held
@@ -223,6 +249,7 @@ func (t *Table[K, V]) lockAllGens(st *genState[K, V], h uint64, buf []uint64) []
 //cuckoo:hotpath the table read path (§7 locked reads)
 func (t *Table[K, V]) Get(key K) (V, bool) {
 	h := t.hash(key)
+	tag := tagOf(h)
 	var lockBuf [8]uint64
 	for {
 		st := t.loadState()
@@ -234,7 +261,7 @@ func (t *Table[K, V]) Get(key K) (V, bool) {
 		for _, g := range st.olds {
 			ob1, ob2 := t.twoBuckets(h, g.arr.buckets)
 			for _, b := range [2]uint64{ob1, ob2} {
-				if i, ok := t.find(g.arr, b, key); ok {
+				if i, ok := t.find(g.arr, b, tag, key); ok {
 					v := g.arr.vals[i]
 					t.locks.UnlockOrdered(locked)
 					return v, true
@@ -243,7 +270,7 @@ func (t *Table[K, V]) Get(key K) (V, bool) {
 		}
 		b1, b2 := t.twoBuckets(h, st.live.buckets)
 		for _, b := range [2]uint64{b1, b2} {
-			if i, ok := t.find(st.live, b, key); ok {
+			if i, ok := t.find(st.live, b, tag, key); ok {
 				v := st.live.vals[i]
 				t.locks.UnlockOrdered(locked)
 				return v, true
@@ -255,13 +282,15 @@ func (t *Table[K, V]) Get(key K) (V, bool) {
 	}
 }
 
-// find scans bucket b for key; caller holds its stripe.
-func (t *Table[K, V]) find(arr *tArrays[K, V], b uint64, key K) (uint64, bool) {
+// find scans bucket b for key, whose tag is tag; caller holds its
+// stripe. Only slots whose tag matches pay the key compare.
+func (t *Table[K, V]) find(arr *tArrays[K, V], b uint64, tag uint8, key K) (uint64, bool) {
 	occ := arr.occ[b]
 	base := b * t.assoc
 	for s := 0; occ != 0; s, occ = s+1, occ>>1 {
-		if occ&1 != 0 && arr.keys[base+uint64(s)] == key {
-			return base + uint64(s), true
+		i := base + uint64(s)
+		if occ&1 != 0 && arr.tags[i] == tag && arr.keys[i] == key {
+			return i, true
 		}
 	}
 	return 0, false
@@ -361,8 +390,9 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V
 		return putStale
 	}
 	live := st.live
+	tag := tagOf(h)
 	for _, b := range [2]uint64{b1, b2} {
-		if i, ok := t.find(live, b, key); ok {
+		if i, ok := t.find(live, b, tag, key); ok {
 			if !overwrite {
 				return putExists
 			}
@@ -373,7 +403,7 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V
 	for _, g := range st.olds {
 		ob1, ob2 := t.twoBuckets(h, g.arr.buckets)
 		for _, ob := range [2]uint64{ob1, ob2} {
-			i, ok := t.find(g.arr, ob, key)
+			i, ok := t.find(g.arr, ob, tag, key)
 			if !ok {
 				continue
 			}
@@ -382,7 +412,7 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V
 			}
 			// Fold the entry forward into a live slot.
 			if s, ok := t.liveSlotFor(live, b1, b2, reqSlot); ok {
-				t.placeNoCount(live, s.bucket, s.slot, key, val)
+				t.placeNoCount(live, s.bucket, s.slot, tag, key, val)
 				t.clearSlot(g.arr, ob, i)
 				return putDone
 			}
@@ -393,12 +423,12 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V
 		if live.occ[b1]&(1<<uint(reqSlot)) != 0 {
 			return putNoSpace
 		}
-		t.place(live, b1, reqSlot, key, val)
+		t.place(live, b1, reqSlot, tag, key, val)
 		return putDone
 	}
 	for _, b := range [2]uint64{b1, b2} {
 		if s, ok := freeSlot(live.occ[b], int(t.assoc)); ok {
-			t.place(live, b, s, key, val)
+			t.place(live, b, s, tag, key, val)
 			return putDone
 		}
 	}
@@ -430,18 +460,18 @@ func (t *Table[K, V]) liveSlotFor(live *tArrays[K, V], b1, b2 uint64, reqSlot in
 	return liveTarget{}, false
 }
 
-func (t *Table[K, V]) place(arr *tArrays[K, V], b uint64, s int, key K, val V) {
-	i := b*t.assoc + uint64(s)
-	arr.keys[i] = key
-	arr.vals[i] = val
-	arr.occ[b] |= 1 << uint(s)
+func (t *Table[K, V]) place(arr *tArrays[K, V], b uint64, s int, tag uint8, key K, val V) {
+	t.placeNoCount(arr, b, s, tag, key, val)
 	t.size.add(b, 1)
 }
 
-func (t *Table[K, V]) placeNoCount(arr *tArrays[K, V], b uint64, s int, key K, val V) {
+// placeNoCount writes key (tagged tag) and val into slot s of bucket b;
+// caller holds the stripe and accounts for size itself.
+func (t *Table[K, V]) placeNoCount(arr *tArrays[K, V], b uint64, s int, tag uint8, key K, val V) {
 	i := b*t.assoc + uint64(s)
 	arr.keys[i] = key
 	arr.vals[i] = val
+	arr.tags[i] = tag
 	arr.occ[b] |= 1 << uint(s)
 }
 
@@ -469,6 +499,7 @@ func freeSlot(occ uint32, assoc int) (int, bool) {
 // same write migration itself performs.
 func (t *Table[K, V]) Delete(key K) bool {
 	h := t.hash(key)
+	tag := tagOf(h)
 	var lockBuf [8]uint64
 	for {
 		st := t.loadState()
@@ -480,7 +511,7 @@ func (t *Table[K, V]) Delete(key K) bool {
 		deleted := false
 		b1, b2 := t.twoBuckets(h, st.live.buckets)
 		for _, b := range [2]uint64{b1, b2} {
-			if i, ok := t.find(st.live, b, key); ok {
+			if i, ok := t.find(st.live, b, tag, key); ok {
 				t.clearSlot(st.live, b, i)
 				t.size.add(b, -1)
 				deleted = true
@@ -491,7 +522,7 @@ func (t *Table[K, V]) Delete(key K) bool {
 			for _, g := range st.olds {
 				ob1, ob2 := t.twoBuckets(h, g.arr.buckets)
 				for _, b := range [2]uint64{ob1, ob2} {
-					if i, ok := t.find(g.arr, b, key); ok {
+					if i, ok := t.find(g.arr, b, tag, key); ok {
 						t.clearSlot(g.arr, b, i)
 						t.size.add(b, -1)
 						deleted = true

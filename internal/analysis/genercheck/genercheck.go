@@ -20,7 +20,7 @@
 //
 //   - R1: if the function obtains a generation state (calls a method
 //     named loadState) and indexes a bucket array (a field named keys,
-//     vals or occ), every such access must be positionally preceded by a
+//     vals, tags or occ), every such access must be positionally preceded by a
 //     stateValid call — the re-check that pins the generation set for
 //     the critical section.
 //   - R2: no bucket-array access may positionally follow a markMigrated
@@ -49,7 +49,7 @@ var Analyzer = &analysis.Analyzer{
 
 // genArrayFields are the bucket-array field names of the table's
 // generation arrays; indexing one of these is what the rules guard.
-var genArrayFields = map[string]bool{"keys": true, "vals": true, "occ": true}
+var genArrayFields = map[string]bool{"keys": true, "vals": true, "tags": true, "occ": true}
 
 const (
 	evLoad = iota

@@ -9,6 +9,7 @@ package generchecktest
 type arrays struct {
 	keys []uint64
 	vals []uint64
+	tags []uint8
 	occ  []uint32
 }
 
@@ -79,6 +80,22 @@ func badUnvalidatedWrite(t *table, b uint64) {
 	st.live.occ[b] = 0 // want `generation array "occ" accessed without a preceding stateValid`
 }
 
+// badUnvalidatedTagProbe: the partial-key tags are a bucket array like
+// the keys they filter, so a tag compare before the re-check is the same
+// stale-generation read.
+func badUnvalidatedTagProbe(t *table, i uint64, tag uint8) bool {
+	st := t.loadState()
+	return st.live.tags[i] == tag // want `generation array "tags" accessed without a preceding stateValid`
+}
+
+func goodValidatedTagWrite(t *table, i uint64, tag uint8) {
+	st := t.loadState()
+	if !t.stateValid(st) {
+		return
+	}
+	st.live.tags[i] = tag
+}
+
 // goodHelperNoLoad never loads the state itself: the arrays were handed
 // in by a caller who validated, so R1 does not apply (this is why the
 // table's Range/Clear copy buckets through free-function helpers).
@@ -104,6 +121,13 @@ func badAccessAfterMark(t *table, g *gen, b uint64) {
 	if g.markMigrated(b) {
 		g.arr.occ[b] = 0 // want `generation array "occ" accessed after markMigrated`
 	}
+}
+
+func badTagAfterMark(g *gen, b uint64) uint8 {
+	if g.markMigrated(b) {
+		return g.arr.tags[b] // want `generation array "tags" accessed after markMigrated`
+	}
+	return 0
 }
 
 // badMarkThenReadEvenWithoutLoad: R2 holds regardless of how the arrays

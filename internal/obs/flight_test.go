@@ -8,15 +8,23 @@ import (
 	"time"
 )
 
+// tracedSpan returns an unarmed span carrying trace id: a record with a
+// trace but no stage timings, like an untimed traced request.
+func tracedSpan(id string) *Span {
+	var sp Span
+	sp.SetTrace([]byte(id))
+	return &sp
+}
+
 func TestFlightWriteToFormat(t *testing.T) {
 	f := NewFlight(1, 8)
-	r1 := FlightRecord{Verb: "GET", Outcome: OutcomeOK, KeyHash: 0xdeadbeef, TotalNs: int64(1200 * time.Microsecond)}
-	r1.Stages[StageProbe] = int64(time.Millisecond)
-	r1.Stages[StageOther] = int64(200 * time.Microsecond)
-	r1.SetTrace([]byte("abc123"))
-	f.Record(0, &r1)
-	r2 := FlightRecord{Verb: "SET", Outcome: OutcomeBusy, KeyHash: 1, TotalNs: int64(3 * time.Microsecond)}
-	f.Record(0, &r2)
+	var sp Span
+	sp.Arm()
+	sp.stages[StageProbe] = int64(time.Millisecond)
+	sp.stages[StageOther] = int64(200 * time.Microsecond)
+	sp.SetTrace([]byte("abc123"))
+	f.Record(0, "GET", OutcomeOK, 0xdeadbeef, int64(1200*time.Microsecond), &sp)
+	f.Record(0, "SET", OutcomeBusy, 1, int64(3*time.Microsecond), nil)
 
 	var b strings.Builder
 	if _, err := f.WriteTo(&b); err != nil {
@@ -32,8 +40,7 @@ func TestFlightWriteToFormat(t *testing.T) {
 func TestFlightRingKeepsNewestPerShard(t *testing.T) {
 	f := NewFlight(1, 4)
 	for i := 0; i < 10; i++ {
-		rec := FlightRecord{Verb: "GET", TotalNs: 1}
-		f.Record(0, &rec)
+		f.Record(0, "GET", OutcomeOK, 0, 1, nil)
 	}
 	snap := f.Snapshot()
 	if len(snap) != 4 {
@@ -49,8 +56,7 @@ func TestFlightRingKeepsNewestPerShard(t *testing.T) {
 func TestFlightSnapshotOrdersAcrossShards(t *testing.T) {
 	f := NewFlight(4, 8)
 	for i := 0; i < 12; i++ {
-		rec := FlightRecord{Verb: "GET"}
-		f.Record(uint64(i), &rec) // round-robin shards
+		f.Record(uint64(i), "GET", OutcomeOK, 0, 0, nil) // round-robin shards
 	}
 	snap := f.Snapshot()
 	if len(snap) != 12 {
@@ -72,13 +78,9 @@ func TestFlightSummary(t *testing.T) {
 	if got := f.Summary(4); got != "none" {
 		t.Errorf("empty Summary = %q, want none", got)
 	}
-	r1 := FlightRecord{Verb: "GET", Outcome: OutcomeOK, TotalNs: int64(1200 * time.Microsecond)}
-	r1.SetTrace([]byte("abc"))
-	f.Record(0, &r1)
-	r2 := FlightRecord{Verb: "SET", Outcome: OutcomeErr, TotalNs: int64(5 * time.Microsecond)}
-	f.Record(0, &r2)
-	r3 := FlightRecord{Verb: "DEL", Outcome: OutcomeBad, TotalNs: 1}
-	f.Record(0, &r3)
+	f.Record(0, "GET", OutcomeOK, 0, int64(1200*time.Microsecond), tracedSpan("abc"))
+	f.Record(0, "SET", OutcomeErr, 0, int64(5*time.Microsecond), nil)
+	f.Record(0, "DEL", OutcomeBad, 0, 1, nil)
 	// n=2 keeps only the newest two.
 	if got, want := f.Summary(2), "[SET err 5µs] [DEL bad 1ns]"; got != want {
 		t.Errorf("Summary(2) = %q, want %q", got, want)
@@ -89,9 +91,10 @@ func TestFlightSummary(t *testing.T) {
 }
 
 func TestFlightRecordTraceTruncation(t *testing.T) {
-	var rec FlightRecord
+	f := NewFlight(1, 1)
 	long := strings.Repeat("z", MaxTraceIDLen+9)
-	rec.SetTrace([]byte(long))
+	f.Record(0, "GET", OutcomeOK, 0, 0, tracedSpan(long))
+	rec := f.Snapshot()[0]
 	if got := rec.Trace(); got != long[:MaxTraceIDLen] {
 		t.Errorf("Trace len = %d, want %d-byte truncation", len(got), MaxTraceIDLen)
 	}
@@ -109,9 +112,7 @@ func TestFlightConcurrentRecordAndDump(t *testing.T) {
 		go func(g int) {
 			defer writers.Done()
 			for i := 0; i < 2000; i++ {
-				rec := FlightRecord{Verb: "GET", Outcome: OutcomeOK, KeyHash: uint64(i), TotalNs: int64(i)}
-				rec.SetTrace([]byte("ffffffffffffffff"))
-				f.Record(uint64(g*31+i), &rec)
+				f.Record(uint64(g*31+i), "GET", OutcomeOK, uint64(i), int64(i), tracedSpan("ffffffffffffffff"))
 			}
 		}(g)
 	}
@@ -148,9 +149,7 @@ func TestFlightConcurrentRecordAndDump(t *testing.T) {
 
 func TestAdminMuxFlightEndpoint(t *testing.T) {
 	f := NewFlight(1, 8)
-	rec := FlightRecord{Verb: "GET", Outcome: OutcomeOK, KeyHash: 7, TotalNs: int64(time.Millisecond)}
-	rec.SetTrace([]byte("t1"))
-	f.Record(0, &rec)
+	f.Record(0, "GET", OutcomeOK, 7, int64(time.Millisecond), tracedSpan("t1"))
 	mux := NewAdminMux(NewRegistry(), f)
 
 	rr := httptest.NewRecorder()
@@ -185,4 +184,45 @@ func TestAdminMuxNilFlight(t *testing.T) {
 	if got := rr.Body.String(); got != "flight recorder disabled\n" {
 		t.Errorf("nil-flight body = %q, want disabled notice", got)
 	}
+}
+
+// TestFlightUntimedRecordClearsStages: ring slots are reused in place,
+// so an untimed record landing on a slot that held a timed one must not
+// inherit its stage timings.
+func TestFlightUntimedRecordClearsStages(t *testing.T) {
+	f := NewFlight(1, 1)
+	var sp Span
+	sp.Arm()
+	sp.stages[StageProbe] = 5
+	f.Record(0, "GET", OutcomeOK, 1, 10, &sp)
+	if got := f.Snapshot()[0].Stages[StageProbe]; got != 5 {
+		t.Fatalf("timed record stage probe = %d, want 5", got)
+	}
+	sp.Disarm()
+	f.Record(0, "GET", OutcomeOK, 2, 0, &sp)
+	if got := f.Snapshot()[0].Stages; got != ([NumStages]int64{}) {
+		t.Errorf("untimed record inherited stages %v", got)
+	}
+}
+
+func BenchmarkFlightRecord(b *testing.B) {
+	f := NewFlight(16, 64)
+	b.Run("untimed", func(b *testing.B) {
+		var sp Span
+		sp.Disarm()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f.Record(3, "GET", OutcomeOK, uint64(i), 0, &sp)
+		}
+	})
+	b.Run("timed", func(b *testing.B) {
+		var sp Span
+		sp.Arm()
+		sp.stages[StageProbe] = 100
+		sp.stages[StageOther] = 50
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f.Record(3, "GET", OutcomeOK, uint64(i), 150, &sp)
+		}
+	})
 }

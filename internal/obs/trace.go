@@ -97,14 +97,18 @@ func (s *Span) Arm() {
 }
 
 // Disarm resets the span and disables timing: Begin/Now return 0
-// without touching the clock until the next Arm.
+// without touching the clock until the next Arm. Stages are only ever
+// written while armed, so a span that was already disarmed has nothing
+// to clear.
 func (s *Span) Disarm() {
 	if s == nil {
 		return
 	}
+	if s.armed {
+		s.stages = [NumStages]int64{}
+	}
 	s.armed = false
 	s.traceLen = 0
-	s.stages = [NumStages]int64{}
 }
 
 // Armed reports whether timing is enabled.

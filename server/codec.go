@@ -68,7 +68,7 @@ const (
 // in serveRequest's execution switch).
 type verbSpec struct {
 	name  string // wire name, upper case; matched case-insensitively
-	parse func(op opCode, rest []byte) (request, error)
+	parse func(op opCode, rest []byte, req *request) error
 	// stage is the verb label its sampled spans are filed under in
 	// cuckood_stage_seconds; verbs sharing a code path share a label,
 	// and "" files the verb under "other".
@@ -201,163 +201,172 @@ func nextToken(line []byte) (tok, rest []byte) {
 	return line, nil
 }
 
-// parseRequest parses one protocol line (already stripped of \r\n).
-// GET and SET parse without copying — key and val alias the line;
-// numeric-operand verbs copy their token for strconv.
+// parseRequest parses one protocol line (already stripped of \r\n) into
+// *req, which the caller owns: the request is filled in place rather
+// than returned by value. GET and SET parse without copying — key and
+// val alias the line; numeric-operand verbs copy their token for
+// strconv. On error *req is left as it was: every parser writes it
+// only once its operands have validated.
 //
 //cuckoo:hotpath the wire decoder; GET/SET lines parse allocation-free
-func parseRequest(line []byte) (request, error) {
-	return parseRequest1(line, true)
+func parseRequest(line []byte, req *request) error {
+	return parseRequest1(line, true, req)
 }
 
 // parseRequest1 is parseRequest with the TRACE prefix gated: the prefix
 // is legal exactly once, at the start of the line.
-func parseRequest1(line []byte, allowTrace bool) (request, error) {
+func parseRequest1(line []byte, allowTrace bool, req *request) error {
 	cmd, rest := nextToken(line)
 	if len(cmd) == 0 {
-		return request{}, errEmpty
+		return errEmpty
 	}
 	if asciiEqualFold(cmd, "TRACE") {
 		if !allowTrace {
-			return request{}, errBadTrace
+			return errBadTrace
 		}
 		id, rest2 := nextToken(rest)
 		if len(id) == 0 || len(id) > maxTraceIDLen || rest2 == nil {
-			return request{}, errBadTrace
+			return errBadTrace
 		}
-		req, err := parseRequest1(rest2, false)
-		if err != nil {
-			return request{}, err
+		if err := parseRequest1(rest2, false, req); err != nil {
+			return err
 		}
 		req.trace = id
-		return req, nil
+		return nil
 	}
 	for i := range verbs {
 		if asciiEqualFold(cmd, verbs[i].name) {
-			return verbs[i].parse(opCode(i), rest)
+			return verbs[i].parse(opCode(i), rest, req)
 		}
 	}
-	return request{}, errUnknownCmd
+	return errUnknownCmd
 }
 
 // parseNoArgs parses the verbs that take no operands.
-func parseNoArgs(op opCode, rest []byte) (request, error) {
+func parseNoArgs(op opCode, rest []byte, req *request) error {
 	if len(rest) != 0 {
-		return request{}, errBadArgs
+		return errBadArgs
 	}
-	return request{op: op}, nil
+	*req = request{op: op}
+	return nil
 }
 
 // parseQuit accepts QUIT with anything after it: a client on its way
 // out is never refused.
-func parseQuit(op opCode, _ []byte) (request, error) {
-	return request{op: op}, nil
+func parseQuit(op opCode, _ []byte, req *request) error {
+	*req = request{op: op}
+	return nil
 }
 
-func parseSet(op opCode, rest []byte) (request, error) {
+func parseSet(op opCode, rest []byte, req *request) error {
 	key, val := nextToken(rest)
 	if len(key) == 0 || val == nil {
-		return request{}, errBadArgs
+		return errBadArgs
 	}
 	if len(key) > maxKeyLen {
-		return request{}, errKeyTooLong
+		return errKeyTooLong
 	}
-	return request{op: op, key: key, val: val}, nil
+	*req = request{op: op, key: key, val: val}
+	return nil
 }
 
 // parseSetTTL parses SETEX and SETV, both <key> <ttl_ms> <val>. SETEX
 // needs a positive TTL; SETV (SET returning the write's version word)
 // also takes 0 for no expiry, so one verb covers both SET and SETEX
 // shapes for version-aware clients.
-func parseSetTTL(op opCode, rest []byte) (request, error) {
+func parseSetTTL(op opCode, rest []byte, req *request) error {
 	key, rest2 := nextToken(rest)
 	ttlTok, val := nextToken(rest2)
 	if len(key) == 0 || len(ttlTok) == 0 || val == nil {
-		return request{}, errBadArgs
+		return errBadArgs
 	}
 	if len(key) > maxKeyLen {
-		return request{}, errKeyTooLong
+		return errKeyTooLong
 	}
 	//lint:allow cuckoovet:allocfree the TTL token is copied for strconv; SETEX/SETV pay one bounded copy, GET/SET none
 	ms, err := strconv.ParseUint(string(ttlTok), 10, 32)
 	if err != nil || (ms == 0 && op == opSetEx) {
-		return request{}, errBadTTL
+		return errBadTTL
 	}
-	return request{op: op, key: key, ttl: time.Duration(ms) * time.Millisecond, val: val}, nil
+	*req = request{op: op, key: key, ttl: time.Duration(ms) * time.Millisecond, val: val}
+	return nil
 }
 
 // parseSetLease parses SETL <key> <token> <ttl_ms> <val>: the lease
 // winner's fill. token is the hex word a LEASE grant handed out; ttl 0
 // means no expiry.
-func parseSetLease(op opCode, rest []byte) (request, error) {
+func parseSetLease(op opCode, rest []byte, req *request) error {
 	key, rest2 := nextToken(rest)
 	tokTok, rest3 := nextToken(rest2)
 	ttlTok, val := nextToken(rest3)
 	if len(key) == 0 || len(tokTok) == 0 || len(ttlTok) == 0 || val == nil {
-		return request{}, errBadArgs
+		return errBadArgs
 	}
 	if len(key) > maxKeyLen {
-		return request{}, errKeyTooLong
+		return errKeyTooLong
 	}
 	if len(tokTok) > 16 {
-		return request{}, errBadToken
+		return errBadToken
 	}
 	//lint:allow cuckoovet:allocfree lease fills happen once per miss storm; the token copy is bounded to 16 bytes
 	token, err := strconv.ParseUint(string(tokTok), 16, 64)
 	if err != nil || token == 0 {
-		return request{}, errBadToken
+		return errBadToken
 	}
 	//lint:allow cuckoovet:allocfree the TTL token is copied for strconv, same as SETEX
 	ms, err := strconv.ParseUint(string(ttlTok), 10, 32)
 	if err != nil {
-		return request{}, errBadTTL
+		return errBadTTL
 	}
-	return request{op: op, key: key, ver: token, ttl: time.Duration(ms) * time.Millisecond, val: val}, nil
+	*req = request{op: op, key: key, ver: token, ttl: time.Duration(ms) * time.Millisecond, val: val}
+	return nil
 }
 
 // parseReplSet parses REPLSET <key> <ver> <expireAtNs> <val>, the
 // inbound mirror write. ver is the origin's version word; expireAt is
 // absolute unix nanoseconds (0 = no expiry) so TTLs survive the hop
 // without clock math.
-func parseReplSet(op opCode, rest []byte) (request, error) {
+func parseReplSet(op opCode, rest []byte, req *request) error {
 	key, rest2 := nextToken(rest)
 	verTok, rest3 := nextToken(rest2)
 	expTok, val := nextToken(rest3)
 	if len(key) == 0 || len(verTok) == 0 || len(expTok) == 0 || val == nil {
-		return request{}, errBadArgs
+		return errBadArgs
 	}
 	if len(key) > maxKeyLen {
-		return request{}, errKeyTooLong
+		return errKeyTooLong
 	}
 	//lint:allow cuckoovet:allocfree mirror traffic copies its two numeric tokens for strconv; bounded to 20 bytes each
 	ver, err := strconv.ParseUint(string(verTok), 10, 64)
 	if err != nil || ver == 0 {
-		return request{}, errBadVer
+		return errBadVer
 	}
 	//lint:allow cuckoovet:allocfree see above
 	exp, err := strconv.ParseInt(string(expTok), 10, 64)
 	if err != nil || exp < 0 {
-		return request{}, errBadDelta
+		return errBadDelta
 	}
-	return request{op: op, key: key, ver: ver, delta: exp, val: val}, nil
+	*req = request{op: op, key: key, ver: ver, delta: exp, val: val}
+	return nil
 }
 
 // parseReplDel parses REPLDEL <key> <ver>, the mirrored tombstone.
-func parseReplDel(op opCode, rest []byte) (request, error) {
+func parseReplDel(op opCode, rest []byte, req *request) error {
 	key, rest2 := nextToken(rest)
 	verTok, extra := nextToken(rest2)
 	if len(key) == 0 || len(verTok) == 0 || extra != nil {
-		return request{}, errBadArgs
+		return errBadArgs
 	}
 	if len(key) > maxKeyLen {
-		return request{}, errKeyTooLong
+		return errKeyTooLong
 	}
 	//lint:allow cuckoovet:allocfree mirror traffic copies its version token for strconv; bounded to 20 bytes
 	ver, err := strconv.ParseUint(string(verTok), 10, 64)
 	if err != nil || ver == 0 {
-		return request{}, errBadVer
+		return errBadVer
 	}
-	return request{op: op, key: key, ver: ver}, nil
+	*req = request{op: op, key: key, ver: ver}
+	return nil
 }
 
 // maxTraceIDLen mirrors obs.MaxTraceIDLen without importing obs into
@@ -373,21 +382,22 @@ const (
 
 // parseHotKeys parses HOTKEYS [count]; count defaults to 10 and rides
 // in req.delta.
-func parseHotKeys(op opCode, rest []byte) (request, error) {
+func parseHotKeys(op opCode, rest []byte, req *request) error {
 	n := int64(10)
 	tok, extra := nextToken(rest)
 	if len(tok) != 0 {
 		if extra != nil {
-			return request{}, errBadHotKeys
+			return errBadHotKeys
 		}
 		//lint:allow cuckoovet:allocfree HOTKEYS is an operator verb; its count token is copied for strconv
 		v, err := strconv.ParseInt(string(tok), 10, 64)
 		if err != nil || v < 1 || v > hotKeysMax {
-			return request{}, errBadHotKeys
+			return errBadHotKeys
 		}
 		n = v
 	}
-	return request{op: op, delta: n}, nil
+	*req = request{op: op, delta: n}
+	return nil
 }
 
 // parseCounter parses the arithmetic verbs:
@@ -397,48 +407,50 @@ func parseHotKeys(op opCode, rest []byte) (request, error) {
 //
 // delta is a signed 64-bit integer; DECR negates it at parse time so the
 // dispatch layer sees a single add-delta operation.
-func parseCounter(op opCode, rest []byte) (request, error) {
+func parseCounter(op opCode, rest []byte, req *request) error {
 	key, rest2 := nextToken(rest)
 	if len(key) == 0 {
-		return request{}, errBadArgs
+		return errBadArgs
 	}
 	if len(key) > maxKeyLen {
-		return request{}, errKeyTooLong
+		return errKeyTooLong
 	}
 	delta := int64(1)
 	tok, extra := nextToken(rest2)
 	if len(tok) != 0 {
 		if extra != nil {
-			return request{}, errBadArgs
+			return errBadArgs
 		}
 		//lint:allow cuckoovet:allocfree the delta token is copied for strconv; counter verbs pay one bounded copy, GET/SET none
 		d, err := strconv.ParseInt(string(tok), 10, 64)
 		if err != nil {
-			return request{}, errBadDelta
+			return errBadDelta
 		}
 		delta = d
 	} else if op == opAdd || op == opMaxUpdate {
-		return request{}, errBadArgs
+		return errBadArgs
 	}
 	if op == opDecr {
 		delta = -delta
 	}
-	return request{op: op, key: key, delta: delta}, nil
+	*req = request{op: op, key: key, delta: delta}
+	return nil
 }
 
 // parseCAS parses CAS <key> <old> <new>. old is a single token (a CAS
 // against a value containing spaces is not expressible in this text
 // protocol); new is the rest of the line and may contain spaces.
-func parseCAS(op opCode, rest []byte) (request, error) {
+func parseCAS(op opCode, rest []byte, req *request) error {
 	key, rest2 := nextToken(rest)
 	old, newVal := nextToken(rest2)
 	if len(key) == 0 || len(old) == 0 || newVal == nil {
-		return request{}, errBadArgs
+		return errBadArgs
 	}
 	if len(key) > maxKeyLen {
-		return request{}, errKeyTooLong
+		return errKeyTooLong
 	}
-	return request{op: op, key: key, old: old, val: newVal}, nil
+	*req = request{op: op, key: key, old: old, val: newVal}
+	return nil
 }
 
 // handoffMaxBytes bounds one HANDOFF bulk payload. A length past it is a
@@ -450,56 +462,59 @@ const (
 	handoffMaxStr   = "67108864"
 )
 
-func parseHandoff(op opCode, rest []byte) (request, error) {
+func parseHandoff(op opCode, rest []byte, req *request) error {
 	tok, extra := nextToken(rest)
 	if len(tok) == 0 || extra != nil {
-		return request{}, errBadArgs
+		return errBadArgs
 	}
 	//lint:allow cuckoovet:allocfree HANDOFF is a rare bulk-transfer verb; its length token is copied for strconv
 	n, err := strconv.ParseUint(string(tok), 10, 64)
 	if err != nil || n == 0 || n > handoffMaxBytes {
-		return request{}, errBadPayload
+		return errBadPayload
 	}
-	return request{op: op, payload: n}, nil
+	*req = request{op: op, payload: n}
+	return nil
 }
 
 //cuckoo:coldpath MIGRATE is a rare admin verb; it copies every operand out of the read buffer by design
-func parseMigrate(op opCode, rest []byte) (request, error) {
+func parseMigrate(op opCode, rest []byte, req *request) error {
 	fields := bytes.Fields(rest)
 	if len(fields) != 6 {
-		return request{}, errBadMigrate
+		return errBadMigrate
 	}
 	mode := string(bytes.ToLower(fields[0]))
 	if mode != "home" && mode != "shed" {
-		return request{}, errBadMigrate
+		return errBadMigrate
 	}
 	seed, err := strconv.ParseUint(string(fields[3]), 10, 64)
 	if err != nil {
-		return request{}, errBadMigrate
+		return errBadMigrate
 	}
 	max, err := strconv.ParseUint(string(fields[4]), 10, 32)
 	if err != nil {
-		return request{}, errBadMigrate
+		return errBadMigrate
 	}
-	return request{op: op, mig: &migrateArgs{
+	*req = request{op: op, mig: &migrateArgs{
 		mode: mode,
 		dest: string(fields[1]),
 		self: string(fields[2]),
 		seed: seed,
 		max:  int(max),
 		ring: string(fields[5]),
-	}}, nil
+	}}
+	return nil
 }
 
-func parseKeyOnly(op opCode, rest []byte) (request, error) {
+func parseKeyOnly(op opCode, rest []byte, req *request) error {
 	key, extra := nextToken(rest)
 	if len(key) == 0 || extra != nil {
-		return request{}, errBadArgs
+		return errBadArgs
 	}
 	if len(key) > maxKeyLen {
-		return request{}, errKeyTooLong
+		return errKeyTooLong
 	}
-	return request{op: op, key: key}, nil
+	*req = request{op: op, key: key}
+	return nil
 }
 
 // asciiEqualFold reports whether b equals the upper-case ASCII literal s

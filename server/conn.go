@@ -51,6 +51,11 @@ type connState struct {
 	span obs.Span
 	// outcome classifies the request in flight for the flight recorder.
 	outcome obs.Outcome
+	// req is the request in flight, parsed in place. It lives here
+	// rather than on the batch loop's stack because the parser reaches
+	// it through the verbs table's func values, and escape analysis
+	// heap-allocates anything whose address such a call receives.
+	req request
 
 	// MULTI state. Queued ops copy their keys/values out of the read
 	// buffer (the buffer is recycled long before EXEC). txnBad poisons
@@ -163,6 +168,7 @@ func (s *Server) armReadDeadline(nc net.Conn, d time.Duration) {
 // buffered, returning true if the client asked to quit.
 func (s *Server) serveBatchHead(line []byte, r *bufio.Reader, w *bufio.Writer, cs *connState) bool {
 	st := s.cache.stats
+	req := &cs.req
 	for {
 		sample := cs.reqCount&latencySampleMask == 0
 		cs.reqCount++
@@ -180,7 +186,7 @@ func (s *Server) serveBatchHead(line []byte, r *bufio.Reader, w *bufio.Writer, c
 		}
 		start := cs.span.Now()
 		cs.outcome = obs.OutcomeOK
-		req, quit := s.serveRequest(line, r, w, cs)
+		quit := s.serveRequest(line, r, w, cs, req)
 		var durNs int64
 		if timed {
 			durNs = cs.span.Now() - start
@@ -209,15 +215,7 @@ func (s *Server) serveBatchHead(line []byte, r *bufio.Reader, w *bufio.Writer, c
 		// The flight recorder sees every request, timed or not: an
 		// untimed record still carries verb, outcome, key hash and trace,
 		// which is what incident dumps need most.
-		rec := obs.FlightRecord{
-			Verb:    req.op.String(),
-			Outcome: cs.outcome,
-			KeyHash: hashKey(req.key),
-			TotalNs: durNs,
-			Stages:  cs.span.Stages(),
-		}
-		rec.SetTrace(req.trace)
-		s.flight.Record(cs.latShard, &rec)
+		s.flight.Record(cs.latShard, req.op.String(), cs.outcome, hashKey(req.key), durNs, &cs.span)
 		if quit {
 			return true
 		}
@@ -232,13 +230,14 @@ func (s *Server) serveBatchHead(line []byte, r *bufio.Reader, w *bufio.Writer, c
 	}
 }
 
-// serveRequest executes one parsed request, writing its response into w.
-// It reads from r only for a HANDOFF payload (the bulk bytes follow the
-// request line). It returns the parsed request so the caller can
-// attribute slow-op traces.
-func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs *connState) (req request, quit bool) {
+// serveRequest parses line into *req and executes it, writing its
+// response into w. It reads from r only for a HANDOFF payload (the bulk
+// bytes follow the request line). req is the caller's, so the parsed
+// request stays available for slow-op and flight attribution without
+// being copied.
+func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs *connState, req *request) (quit bool) {
 	t0 := cs.span.Begin()
-	req, err := parseRequest(line)
+	err := parseRequest(line, req)
 	cs.span.End(obs.StageParse, t0)
 	if err != nil {
 		// A parse failure inside MULTI poisons the transaction: EXEC
@@ -251,7 +250,8 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 		// An oversized HANDOFF length is fatal to the connection: the
 		// payload bytes are already behind the line and cannot be skipped,
 		// so the stream would desynchronize into garbage commands.
-		return request{op: opBad}, errors.Is(err, errBadPayload)
+		*req = request{op: opBad}
+		return errors.Is(err, errBadPayload)
 	}
 	if req.trace != nil {
 		// Works even on a disarmed span: trace propagation (slow logs,
@@ -264,10 +264,10 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 	// is an error, but — like Redis — not one that aborts the queue).
 	if cs.inTxn && !verbs[req.op].multiCtl {
 		if req.op == opQuit {
-			return req, true
+			return true
 		}
 		s.queueTxnOp(w, cs, req)
-		return req, false
+		return false
 	}
 	// In-flight limit: cache-touching ops past MaxInflight fail fast with
 	// "ERR busy" (retryable; the request did not execute) instead of
@@ -287,11 +287,11 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 			s.cache.stats.busyRejected.Add(1)
 			cs.outcome = obs.OutcomeBusy
 			writeErr(w, errBusy)
-			return req, false
+			return false
 		}
 	}
 	if s.dispatchFast(req, w, cs) {
-		return req, false
+		return false
 	}
 	switch req.op {
 	case opDel:
@@ -364,7 +364,7 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 			// The payload never arrived in full; the stream is undefined.
 			s.log.Warn("handoff payload truncated", "err", err)
 			cs.outcome = obs.OutcomeErr
-			return req, true
+			return true
 		}
 	case opIncr, opDecr, opAdd:
 		if err := s.cache.IncrTraced(string(req.key), req.delta, cs.latShard, &cs.span); err != nil {
@@ -416,9 +416,9 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 			writeOK(w)
 		}
 	case opQuit:
-		return req, true
+		return true
 	}
-	return req, false
+	return false
 }
 
 // dispatchFast executes the hot verbs — GET, SET, SETEX — and reports
@@ -429,7 +429,7 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 // a SET allocates exactly the two copies it stores.
 //
 //cuckoo:hotpath dispatch for GET/SET/SETEX; GET is proven allocation-free end to end
-func (s *Server) dispatchFast(req request, w *bufio.Writer, cs *connState) bool {
+func (s *Server) dispatchFast(req *request, w *bufio.Writer, cs *connState) bool {
 	switch req.op {
 	case opGet:
 		if v, ok := s.cache.GetBytesTraced(req.key, &cs.span); ok {
@@ -458,7 +458,7 @@ func (s *Server) dispatchFast(req request, w *bufio.Writer, cs *connState) bool 
 // replaced the entry, the later version is reported, which only
 // tightens the client's floor (and VER 0 means the entry was evicted
 // between store and read-back — the client learns nothing, safely).
-func (s *Server) dispatchSetV(req request, w *bufio.Writer, cs *connState) {
+func (s *Server) dispatchSetV(req *request, w *bufio.Writer, cs *connState) {
 	key := string(req.key)
 	if err := s.cache.SetTraced(key, string(req.val), req.ttl, &cs.span); err != nil {
 		s.replyErr(w, cs, err)
@@ -473,7 +473,7 @@ func (s *Server) dispatchSetV(req request, w *bufio.Writer, cs *connState) {
 // Otherwise the first caller wins the fill lease and gets LEASE
 // <token> <ttl_ms>; later callers are served the expired copy as
 // STALE <ver> <val> when one is still in the table, or told to WAIT.
-func (s *Server) dispatchLease(req request, w *bufio.Writer, cs *connState) {
+func (s *Server) dispatchLease(req *request, w *bufio.Writer, cs *connState) {
 	val, ver, state := s.cache.leaseProbe(req.key, &cs.span)
 	if state == probeLive {
 		writeValueV(w, ver, val)
@@ -502,7 +502,7 @@ func (s *Server) dispatchLease(req request, w *bufio.Writer, cs *connState) {
 // nothing, so a slow filler can never resurrect data a newer write
 // superseded. An accepted fill stores through the normal SET path —
 // versioned, mirrored, evicting — and acknowledges like SETV.
-func (s *Server) dispatchSetLease(req request, w *bufio.Writer, cs *connState) {
+func (s *Server) dispatchSetLease(req *request, w *bufio.Writer, cs *connState) {
 	st := s.cache.stats
 	key := string(req.key)
 	t0 := cs.span.Begin()
@@ -564,7 +564,7 @@ var (
 // copied out of the read buffer here — the buffer is long recycled by
 // the time EXEC runs. Any rejection poisons the transaction so a partial
 // op list can never commit.
-func (s *Server) queueTxnOp(w *bufio.Writer, cs *connState, req request) {
+func (s *Server) queueTxnOp(w *bufio.Writer, cs *connState, req *request) {
 	if cs.txnBad {
 		s.replyErr(w, cs, errTxnAborted)
 		return

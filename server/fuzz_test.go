@@ -118,7 +118,8 @@ func FuzzParseCommand(f *testing.F) {
 			// sees the bytes; embedded ones cannot occur.
 			return
 		}
-		req, err := parseRequest(line)
+		var req request
+		err := parseRequest(line, &req)
 		if err != nil {
 			if req.op != 0 || req.key != nil || req.val != nil || req.old != nil ||
 				req.delta != 0 || req.mig != nil || req.payload != 0 || req.trace != nil {

@@ -2,13 +2,17 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"testing"
+
+	"cuckoohash/internal/obs"
 )
 
 // TestGetWirePathZeroAlloc proves the steady-state GET path — wire parse,
 // dispatch, byte-key probe, reply — allocation-free end to end, hit and
-// miss alike. This is the dynamic counterpart of the static allocfree
+// miss alike, and then the connection's batch loop around it with its
+// sampled observability (latency, stages, hot-key sketch, flight record). This is the dynamic counterpart of the static allocfree
 // proof over the //cuckoo:hotpath roots (parseRequest, dispatchFast,
 // GetBytesTraced, generic.GetBytes, writeValue).
 func TestGetWirePathZeroAlloc(t *testing.T) {
@@ -32,7 +36,8 @@ func TestGetWirePathZeroAlloc(t *testing.T) {
 	} {
 		line := []byte(tc.line)
 		allocs := testing.AllocsPerRun(500, func() {
-			req, err := parseRequest(line)
+			req := &cs.req
+			err := parseRequest(line, req)
 			if err != nil {
 				panic(err)
 			}
@@ -44,6 +49,36 @@ func TestGetWirePathZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("GET %s wire round trip: %.1f allocs/op, want 0", tc.name, allocs)
 		}
+	}
+
+	// The batch loop around dispatch: 16 pipelined GETs of one key per
+	// run, so every run includes exactly one sampled request (latency
+	// histogram, stage table, hot-key touch on a key the sketch already
+	// tracks after the warm-up run) and 16 in-place flight records.
+	s.flight = obs.NewFlight(flightShards, flightPerShard)
+	batch := bytes.Repeat([]byte("GET hot\r\n"), latencySampleMask+1)
+	var src bytes.Reader
+	r := bufio.NewReaderSize(&src, connReadBuf)
+	allocs := testing.AllocsPerRun(200, func() {
+		src.Reset(batch)
+		r.Reset(&src)
+		line, err := readLine(r)
+		if err != nil {
+			panic(err)
+		}
+		if s.serveBatchHead(line, r, w, &cs) {
+			panic("batch loop quit on a GET batch")
+		}
+		w.Reset(io.Discard)
+	})
+	if allocs != 0 {
+		t.Errorf("pipelined GET batch through serveBatchHead: %.1f allocs/op, want 0", allocs)
+	}
+	if hot := c.stats.HotKeys(1); len(hot) != 1 || hot[0].Key != "hot" {
+		t.Errorf("HotKeys = %+v; the sampled requests never reached the sketch", hot)
+	}
+	if recs := s.flight.Snapshot(); len(recs) == 0 || recs[len(recs)-1].Verb != "GET" {
+		t.Errorf("flight recorder holds %d records; the batch was not recorded", len(recs))
 	}
 }
 
@@ -62,7 +97,8 @@ func TestSetWirePathAllocBound(t *testing.T) {
 	line := []byte("SET hot value-1")
 
 	allocs := testing.AllocsPerRun(500, func() {
-		req, err := parseRequest(line)
+		req := &cs.req
+		err := parseRequest(line, req)
 		if err != nil {
 			panic(err)
 		}

@@ -153,13 +153,8 @@ func New(cfg Config) (*Server, error) {
 	// duration column (buckets, not time — grows have no single duration
 	// by design; they are incremental).
 	cache.growHook = func(shard int, ev generic.GrowEvent) {
-		rec := obs.FlightRecord{
-			Verb:    "GROW:" + ev.Kind.String(),
-			Outcome: obs.OutcomeOK,
-			KeyHash: uint64(shard)<<48 | ev.FromBuckets<<24 | ev.ToBuckets,
-			TotalNs: int64(ev.Backlog),
-		}
-		s.flight.Record(uint64(shard), &rec)
+		s.flight.Record(uint64(shard), "GROW:"+ev.Kind.String(), obs.OutcomeOK,
+			uint64(shard)<<48|ev.FromBuckets<<24|ev.ToBuckets, int64(ev.Backlog), nil)
 	}
 	return s, nil
 }

@@ -65,8 +65,29 @@ type entry struct {
 	ver      uint64
 }
 
+// expired reports whether e had expired at now; whole-table walks
+// (sweep, snapshot, migration) read the clock once and pass it in.
 func (e entry) expired(now int64) bool {
 	return e.expireAt != 0 && now >= e.expireAt
+}
+
+// remaining is the single expiry check every per-key reader goes
+// through: (0, true) for a persistent entry, (d > 0, true) for a live
+// expiring one, and (d <= 0, false) once the TTL has passed. Only
+// entries that carry a TTL read the clock, so a hit on a persistent
+// entry — the common case on the GET path — never calls time.Now.
+func (e entry) remaining() (time.Duration, bool) {
+	if e.expireAt == 0 {
+		return 0, true
+	}
+	d := time.Duration(e.expireAt - time.Now().UnixNano())
+	return d, d > 0
+}
+
+// expiredNow reports whether e's TTL has passed (see remaining).
+func (e entry) expiredNow() bool {
+	_, live := e.remaining()
+	return !live
 }
 
 // Cache is the sharded store behind the daemon. Keys are hashed to one of
@@ -261,7 +282,7 @@ type cacheKV struct{ c *Cache }
 
 func (k cacheKV) Load(key string) (string, bool) {
 	e, ok := k.c.shards[k.c.shardFor(key)].table.Get(key)
-	if !ok || e.expired(time.Now().UnixNano()) {
+	if !ok || e.expiredNow() {
 		return "", false
 	}
 	return e.val, true
@@ -273,7 +294,7 @@ func (k cacheKV) Store(key, val string, expireAt int64, keepTTL bool) error {
 		// Counter updates inherit the entry's current expiry; a fresh
 		// counter never expires until a SETEX says otherwise.
 		expireAt = 0
-		if cur, ok := sh.table.Get(key); ok && !cur.expired(time.Now().UnixNano()) {
+		if cur, ok := sh.table.Get(key); ok && !cur.expiredNow() {
 			expireAt = cur.expireAt
 		}
 	}
@@ -632,7 +653,7 @@ func (c *Cache) GetTraced(key string, sp *obs.Span) (string, bool) {
 	t0 := sp.Begin()
 	e, ok := s.table.Get(key)
 	sp.End(obs.StageProbe, t0)
-	if ok && e.expired(time.Now().UnixNano()) {
+	if ok && e.expiredNow() {
 		c.expireKey(si, key)
 		ok = false
 	}
@@ -660,7 +681,7 @@ func (c *Cache) GetBytesTraced(key []byte, sp *obs.Span) (string, bool) {
 	t0 := sp.Begin()
 	e, ok := generic.GetBytes(s.table, key)
 	sp.End(obs.StageProbe, t0)
-	if ok && e.expired(time.Now().UnixNano()) {
+	if ok && e.expiredNow() {
 		//lint:allow cuckoovet:allocfree lazy expiry of a dead entry is rare and the deletion needs an owned key
 		c.expireKey(si, string(key))
 		ok = false
@@ -681,11 +702,8 @@ func (c *Cache) TTL(key string) (time.Duration, bool) {
 	if !ok {
 		return 0, false
 	}
-	if e.expireAt == 0 {
-		return 0, true
-	}
-	d := time.Duration(e.expireAt - time.Now().UnixNano())
-	if d <= 0 {
+	d, live := e.remaining()
+	if !live {
 		c.expireKey(si, key)
 		return 0, false
 	}
@@ -708,7 +726,7 @@ func (c *Cache) DeleteTraced(key string, sp *obs.Span) bool {
 		e, found := s.table.Get(key)
 		switch {
 		case !found:
-		case e.expired(time.Now().UnixNano()):
+		case e.expiredNow():
 			// An expired-but-unswept entry must look deleted-as-miss,
 			// not OK.
 			if s.table.Delete(key) {
@@ -742,7 +760,7 @@ func (c *Cache) GetVBytesTraced(key []byte, sp *obs.Span) (string, uint64, bool)
 	t0 := sp.Begin()
 	e, ok := generic.GetBytes(s.table, key)
 	sp.End(obs.StageProbe, t0)
-	if ok && e.expired(time.Now().UnixNano()) {
+	if ok && e.expiredNow() {
 		//lint:allow cuckoovet:allocfree lazy expiry of a dead entry is rare and the deletion needs an owned key
 		c.expireKey(si, string(key))
 		ok = false
@@ -792,7 +810,7 @@ func (c *Cache) leaseProbe(key []byte, sp *obs.Span) (val string, ver uint64, st
 	case !ok:
 		c.stats.misses.Add(si, 1)
 		return "", 0, probeAbsent
-	case e.expired(time.Now().UnixNano()):
+	case e.expiredNow():
 		c.stats.misses.Add(si, 1)
 		return e.val, e.ver, probeStale
 	default:
@@ -811,7 +829,7 @@ func (c *Cache) expireKey(si int, key string) bool {
 	s := c.shards[si]
 	removed := false
 	c.txn.WithLock(key, func() {
-		if e, ok := s.table.Get(key); ok && e.expired(time.Now().UnixNano()) {
+		if e, ok := s.table.Get(key); ok && e.expiredNow() {
 			removed = s.table.Delete(key)
 		}
 	})

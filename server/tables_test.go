@@ -66,7 +66,8 @@ func TestVerbTable(t *testing.T) {
 		}
 		line := verbLine(op)
 		for _, l := range []string{line, strings.ToLower(line), "TRACE t1 " + line} {
-			req, err := parseRequest([]byte(l))
+			var req request
+			err := parseRequest([]byte(l), &req)
 			if err != nil || req.op != op {
 				t.Errorf("parse %q = op %v, err %v; want %s", l, req.op, err, v.name)
 			}
