@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -80,28 +81,13 @@ type Conn struct {
 	nc        net.Conn
 	r         *bufio.Reader
 	w         *bufio.Writer
-	pending   []opCode
+	pending   int // queued requests whose replies Flush has yet to read
 	replies   []Reply
 	closed    bool
 	broken    error         // sticky transport failure; nil while healthy
 	ioTimeout time.Duration // per-Flush deadline; 0 = none
 	trace     string        // wire trace ID prefixed to queued requests; "" = untraced
 }
-
-type opCode uint8
-
-const (
-	opGet opCode = iota
-	opSet
-	opDel
-	opTTL
-	opIncr  // INCR/DECR/ADD/MAXUPDATE: all reply OK or ERR
-	opCAS   // OK, MISS, or CONFLICT
-	opGetV  // VALUEV, MISS, or ERR
-	opSetV  // VER or ERR
-	opLease // VALUEV, LEASE, STALE, WAIT, or ERR
-	opSetL  // VER, MISS (fill rejected), or ERR
-)
 
 // Dial connects to a cuckood server with no deadlines configured.
 func Dial(addr string) (*Conn, error) {
@@ -143,7 +129,7 @@ func (c *Conn) Err() error { return c.broken }
 func (c *Conn) fail(err error) error {
 	if c.broken == nil {
 		c.broken = fmt.Errorf("%w: %w", ErrBrokenConn, err)
-		c.pending = c.pending[:0]
+		c.pending = 0
 	}
 	return c.broken
 }
@@ -157,136 +143,204 @@ func (c *Conn) Close() error {
 	return c.nc.Close()
 }
 
-func validKey(key string) error {
-	if key == "" || len(key) > 250 || strings.ContainsAny(key, " \r\n") {
-		return fmt.Errorf("client: invalid key %q", key)
+// maxKeyLen is the protocol's key length limit.
+const maxKeyLen = 250
+
+// request is one protocol request line. Its operands are written in
+// this order, each only when ops carries its flag:
+//
+//	[TRACE <id> ]<verb>[ <key>][ <token>][ <num>][ <old>][ <val>]\n
+type request struct {
+	verb  string
+	ops   uint8
+	key   string
+	token uint64 // SETL's lease token, written in hex
+	num   int64  // TTL in ms, counter delta or operand, HOTKEYS count
+	old   string // CAS's expected value
+	val   string // the rest of the line; may contain spaces
+}
+
+// Operand flags of request.ops, each with the rule encode checks.
+const (
+	withKey   = 1 << iota // one token of at most maxKeyLen bytes
+	withToken             // non-zero
+	withNum               // any integer
+	withOld               // one token
+	withVal               // no CR or LF
+)
+
+// keyReq is a request carrying only a key (GET, DEL, TTL, GETV, LEASE).
+func keyReq(verb, key string) request {
+	return request{verb: verb, ops: withKey, key: key}
+}
+
+// numReq is a key plus one integer operand (INCR, MAXUPDATE).
+func numReq(verb, key string, n int64) request {
+	return request{verb: verb, ops: withKey | withNum, key: key, num: n}
+}
+
+// setReq is a SET, or a SETEX when ttl is positive.
+func setReq(key, val string, ttl time.Duration) request {
+	if ttl > 0 {
+		return request{verb: "SETEX", ops: withKey | withNum | withVal, key: key, num: ttlMillis(ttl), val: val}
 	}
+	return request{verb: "SET", ops: withKey | withVal, key: key, val: val}
+}
+
+// casReq is a CAS of key from old to newVal.
+func casReq(key, old, newVal string) request {
+	return request{verb: "CAS", ops: withKey | withOld | withVal, key: key, old: old, val: newVal}
+}
+
+// ttlMillis rounds a positive ttl up to whole milliseconds; 0 means no
+// expiry.
+func ttlMillis(ttl time.Duration) int64 {
+	if ttl <= 0 {
+		return 0
+	}
+	return int64((ttl + time.Millisecond - 1) / time.Millisecond)
+}
+
+// encode validates r and writes it to w as one request line, prefixed
+// with "TRACE <id> " when trace is set. An invalid request writes
+// nothing. Every line the client sends is formatted here.
+//
+//cuckoo:hotpath GET and SET with no TTL are the wire benchmarks' encode path
+func encode(w *bufio.Writer, trace string, r *request) error {
+	var bad uint8
+	switch {
+	case r.ops&withKey != 0 && (len(r.key) > maxKeyLen || !oneToken(r.key)):
+		bad = withKey
+	case r.ops&withToken != 0 && r.token == 0:
+		bad = withToken
+	case r.ops&withOld != 0 && !oneToken(r.old):
+		bad = withOld
+	case r.ops&withVal != 0 && hasNewline(r.val):
+		bad = withVal
+	}
+	if bad != 0 {
+		return r.invalid(bad)
+	}
+	if trace != "" {
+		w.WriteString("TRACE ")
+		w.WriteString(trace)
+		w.WriteByte(' ')
+	}
+	w.WriteString(r.verb)
+	if r.ops&withKey != 0 {
+		w.WriteByte(' ')
+		w.WriteString(r.key)
+	}
+	if r.ops&(withToken|withNum) != 0 {
+		r.writeNums(w)
+	}
+	if r.ops&withOld != 0 {
+		w.WriteByte(' ')
+		w.WriteString(r.old)
+	}
+	if r.ops&withVal != 0 {
+		w.WriteByte(' ')
+		w.WriteString(r.val)
+	}
+	w.WriteByte('\n')
+	return nil
+}
+
+// writeNums writes r's lease token (hex) and integer operand (decimal).
+//
+//cuckoo:coldpath strconv formats outside the analyzed module; GET and SET carry no number
+func (r *request) writeNums(w *bufio.Writer) {
+	if r.ops&withToken != 0 {
+		w.WriteByte(' ')
+		w.WriteString(strconv.FormatUint(r.token, 16))
+	}
+	if r.ops&withNum != 0 {
+		w.WriteByte(' ')
+		w.WriteString(strconv.FormatInt(r.num, 10))
+	}
+}
+
+// invalid builds the error for r's first invalid operand, bad.
+//
+//cuckoo:coldpath a rejected request builds one error and sends nothing
+func (r *request) invalid(bad uint8) error {
+	switch bad {
+	case withKey:
+		return fmt.Errorf("client: invalid key %q", r.key)
+	case withToken:
+		return fmt.Errorf("client: zero lease token for %q", r.key)
+	case withOld:
+		return fmt.Errorf("client: CAS expected value %q must be one token", r.old)
+	}
+	return fmt.Errorf("client: value for %q contains newline", r.key)
+}
+
+// oneToken reports whether s is a non-empty protocol token: no space, CR
+// or LF.
+func oneToken(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b <= ' ' && (b == ' ' || b == '\r' || b == '\n') {
+			return false
+		}
+	}
+	return s != ""
+}
+
+// hasNewline reports whether s contains a CR or LF.
+func hasNewline(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b <= '\r' && (b == '\r' || b == '\n') {
+			return true
+		}
+	}
+	return false
+}
+
+// queue buffers one request on the pipeline.
+func (c *Conn) queue(r request) error {
+	if c.broken != nil {
+		return c.broken
+	}
+	if err := encode(c.w, c.trace, &r); err != nil {
+		return err
+	}
+	c.pending++
 	return nil
 }
 
 // QueueGet buffers a GET request.
 func (c *Conn) QueueGet(key string) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	c.writeTrace()
-	c.w.WriteString("GET ")
-	c.w.WriteString(key)
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opGet)
-	return nil
+	return c.queue(keyReq("GET", key))
 }
 
 // QueueSet buffers a SET (ttl == 0) or SETEX request. The value must not
 // contain newlines; ttl is rounded up to a whole millisecond.
 func (c *Conn) QueueSet(key, val string, ttl time.Duration) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	if strings.ContainsAny(val, "\r\n") {
-		return fmt.Errorf("client: value for %q contains newline", key)
-	}
-	c.writeTrace()
-	if ttl <= 0 {
-		c.w.WriteString("SET ")
-		c.w.WriteString(key)
-	} else {
-		ms := (ttl + time.Millisecond - 1) / time.Millisecond
-		c.w.WriteString("SETEX ")
-		c.w.WriteString(key)
-		c.w.WriteByte(' ')
-		c.w.WriteString(strconv.FormatInt(int64(ms), 10))
-	}
-	c.w.WriteByte(' ')
-	c.w.WriteString(val)
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opSet)
-	return nil
+	return c.queue(setReq(key, val, ttl))
 }
 
 // QueueDel buffers a DEL request.
 func (c *Conn) QueueDel(key string) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	c.writeTrace()
-	c.w.WriteString("DEL ")
-	c.w.WriteString(key)
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opDel)
-	return nil
+	return c.queue(keyReq("DEL", key))
 }
 
 // QueueGetV buffers a GETV request: a GET whose hit reply carries the
 // entry's replication version word.
 func (c *Conn) QueueGetV(key string) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	c.writeTrace()
-	c.w.WriteString("GETV ")
-	c.w.WriteString(key)
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opGetV)
-	return nil
+	return c.queue(keyReq("GETV", key))
 }
 
 // QueueSetV buffers a SETV request: a SET acknowledged with the write's
 // version word (ttl 0 = no expiry; rounded up to a whole millisecond).
 func (c *Conn) QueueSetV(key, val string, ttl time.Duration) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	if strings.ContainsAny(val, "\r\n") {
-		return fmt.Errorf("client: value for %q contains newline", key)
-	}
-	var ms int64
-	if ttl > 0 {
-		ms = int64((ttl + time.Millisecond - 1) / time.Millisecond)
-	}
-	c.writeTrace()
-	c.w.WriteString("SETV ")
-	c.w.WriteString(key)
-	c.w.WriteByte(' ')
-	c.w.WriteString(strconv.FormatInt(ms, 10))
-	c.w.WriteByte(' ')
-	c.w.WriteString(val)
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opSetV)
-	return nil
+	return c.queue(request{verb: "SETV", ops: withKey | withNum | withVal, key: key, num: ttlMillis(ttl), val: val})
 }
 
 // QueueLease buffers a LEASE request: a GET that, on a miss, enters the
 // server's fill-lease protocol instead of returning MISS. The reply is
 // a VALUEV hit, a granted LEASE token, a STALE copy, or a WAIT hint.
 func (c *Conn) QueueLease(key string) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	c.writeTrace()
-	c.w.WriteString("LEASE ")
-	c.w.WriteString(key)
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opLease)
-	return nil
+	return c.queue(keyReq("LEASE", key))
 }
 
 // QueueSetLease buffers a SETL request: the lease winner's fill,
@@ -294,54 +348,17 @@ func (c *Conn) QueueLease(key string) error {
 // means the fill lost (the lease expired or a newer write invalidated
 // it) and nothing was stored.
 func (c *Conn) QueueSetLease(key string, token uint64, val string, ttl time.Duration) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	if token == 0 {
-		return fmt.Errorf("client: zero lease token for %q", key)
-	}
-	if strings.ContainsAny(val, "\r\n") {
-		return fmt.Errorf("client: value for %q contains newline", key)
-	}
-	var ms int64
-	if ttl > 0 {
-		ms = int64((ttl + time.Millisecond - 1) / time.Millisecond)
-	}
-	c.writeTrace()
-	c.w.WriteString("SETL ")
-	c.w.WriteString(key)
-	c.w.WriteByte(' ')
-	c.w.WriteString(strconv.FormatUint(token, 16))
-	c.w.WriteByte(' ')
-	c.w.WriteString(strconv.FormatInt(ms, 10))
-	c.w.WriteByte(' ')
-	c.w.WriteString(val)
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opSetL)
-	return nil
+	return c.queue(request{verb: "SETL", ops: withKey | withToken | withNum | withVal,
+		key: key, token: token, num: ttlMillis(ttl), val: val})
 }
 
 // QueueTTL buffers a TTL query.
 func (c *Conn) QueueTTL(key string) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	c.writeTrace()
-	c.w.WriteString("TTL ")
-	c.w.WriteString(key)
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opTTL)
-	return nil
+	return c.queue(keyReq("TTL", key))
 }
 
 // Pending returns the number of queued, unflushed requests.
-func (c *Conn) Pending() int { return len(c.pending) }
+func (c *Conn) Pending() int { return c.pending }
 
 // Flush sends every queued request in one write and reads their replies
 // in order. The returned slice is reused by the next Flush. A non-nil
@@ -355,7 +372,7 @@ func (c *Conn) Flush() ([]Reply, error) {
 	if c.broken != nil {
 		return nil, c.broken
 	}
-	if len(c.pending) == 0 {
+	if c.pending == 0 {
 		return nil, nil
 	}
 	if c.ioTimeout > 0 {
@@ -365,90 +382,79 @@ func (c *Conn) Flush() ([]Reply, error) {
 		return nil, c.fail(err)
 	}
 	c.replies = c.replies[:0]
-	for _, op := range c.pending {
+	for i := 0; i < c.pending; i++ {
 		if c.ioTimeout > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(c.ioTimeout))
 		}
-		rep, err := c.readReply(op)
+		rep, err := c.readReply()
 		if err != nil {
-			return nil, c.fail(err)
+			return nil, err
 		}
 		c.replies = append(c.replies, rep)
 	}
-	c.pending = c.pending[:0]
+	c.pending = 0
 	if c.ioTimeout > 0 {
 		c.nc.SetDeadline(time.Time{})
 	}
 	return c.replies, nil
 }
 
-func (c *Conn) readReply(op opCode) (Reply, error) {
-	line, err := c.r.ReadString('\n')
+// readReply reads and parses one request's reply. A reply that does
+// not parse breaks the Conn, like a failed read.
+func (c *Conn) readReply() (Reply, error) {
+	line, err := c.readRawLine()
 	if err != nil {
 		return Reply{}, err
 	}
-	line = strings.TrimRight(line, "\r\n")
+	var rep Reply
+	var ms int64
 	switch {
 	case line == "OK":
-		return Reply{Found: true}, nil
+		rep.Found = true
 	case line == "MISS":
-		return Reply{}, nil
 	case line == "CONFLICT":
-		return Reply{Conflict: true}, nil
+		rep.Conflict = true
 	case strings.HasPrefix(line, "VALUE "):
-		return Reply{Found: true, Value: line[len("VALUE "):]}, nil
+		rep = Reply{Found: true, Value: line[len("VALUE "):]}
 	case strings.HasPrefix(line, "TTL "):
-		ms, perr := strconv.ParseInt(line[len("TTL "):], 10, 64)
-		if perr != nil {
-			return Reply{}, fmt.Errorf("client: malformed reply %q", line)
-		}
+		ms, err = strconv.ParseInt(line[len("TTL "):], 10, 64)
+		rep = Reply{Found: true, TTL: time.Duration(ms) * time.Millisecond}
 		if ms < 0 {
-			return Reply{Found: true, TTL: -1}, nil
+			rep.TTL = -1
 		}
-		return Reply{Found: true, TTL: time.Duration(ms) * time.Millisecond}, nil
 	case strings.HasPrefix(line, "VALUEV "):
-		ver, rest, perr := cutUint(line[len("VALUEV "):], 10)
-		if perr != nil {
-			return Reply{}, fmt.Errorf("client: malformed reply %q", line)
-		}
-		return Reply{Found: true, Ver: ver, Value: rest}, nil
+		rep.Found = true
+		rep.Ver, rep.Value, err = cutUint(line[len("VALUEV "):], 10)
 	case strings.HasPrefix(line, "VER "):
-		ver, perr := strconv.ParseUint(line[len("VER "):], 10, 64)
-		if perr != nil {
-			return Reply{}, fmt.Errorf("client: malformed reply %q", line)
-		}
-		return Reply{Found: true, Ver: ver}, nil
+		rep.Found = true
+		rep.Ver, err = strconv.ParseUint(line[len("VER "):], 10, 64)
 	case strings.HasPrefix(line, "LEASE "):
-		tokTok, msTok, ok := strings.Cut(line[len("LEASE "):], " ")
-		token, perr := strconv.ParseUint(tokTok, 16, 64)
-		if !ok || perr != nil || token == 0 {
-			return Reply{}, fmt.Errorf("client: malformed reply %q", line)
+		var msTok string
+		if rep.Lease, msTok, err = cutUint(line[len("LEASE "):], 16); err == nil && rep.Lease != 0 {
+			ms, err = strconv.ParseInt(msTok, 10, 64)
+			rep.LeaseTTL = time.Duration(ms) * time.Millisecond
+		} else {
+			err = errors.New("no lease token") // token 0 is never granted
 		}
-		ms, perr := strconv.ParseInt(msTok, 10, 64)
-		if perr != nil {
-			return Reply{}, fmt.Errorf("client: malformed reply %q", line)
-		}
-		return Reply{Lease: token, LeaseTTL: time.Duration(ms) * time.Millisecond}, nil
 	case strings.HasPrefix(line, "WAIT "):
-		ms, perr := strconv.ParseInt(line[len("WAIT "):], 10, 64)
-		if perr != nil {
-			return Reply{}, fmt.Errorf("client: malformed reply %q", line)
-		}
-		return Reply{Wait: time.Duration(ms) * time.Millisecond}, nil
+		ms, err = strconv.ParseInt(line[len("WAIT "):], 10, 64)
+		rep.Wait = time.Duration(ms) * time.Millisecond
 	case strings.HasPrefix(line, "STALE "):
-		ver, rest, perr := cutUint(line[len("STALE "):], 10)
-		if perr != nil {
-			return Reply{}, fmt.Errorf("client: malformed reply %q", line)
-		}
-		return Reply{Stale: true, Ver: ver, Value: rest}, nil
+		rep.Stale = true
+		rep.Ver, rep.Value, err = cutUint(line[len("STALE "):], 10)
 	case line == "STALE":
 		// The bare mirror-rejection form (REPLSET/REPLDEL); ordinary
 		// clients never see it, but parsing it keeps the codec total.
-		return Reply{Stale: true}, nil
+		rep.Stale = true
 	case strings.HasPrefix(line, "ERR "):
-		return Reply{Err: &ServerError{Msg: line[len("ERR "):]}}, nil
+		rep.Err = &ServerError{Msg: line[len("ERR "):]}
+	default:
+		return Reply{}, c.fail(fmt.Errorf("client: unexpected reply %q", line))
 	}
-	return Reply{}, fmt.Errorf("client: unexpected reply %q for op %d", line, op)
+	if err != nil {
+		return Reply{}, c.fail(fmt.Errorf("client: malformed reply %q", line))
+	}
+	return rep, nil
 }
 
 // cutUint splits "<uint> <rest>" where rest may contain spaces, parsing
@@ -459,8 +465,24 @@ func cutUint(s string, base int) (uint64, string, error) {
 	return n, rest, err
 }
 
-// one flushes a single queued request and returns its reply.
-func (c *Conn) one() (Reply, error) {
+// readRawLine reads one reply line without interpreting it. A failed
+// read breaks the Conn.
+func (c *Conn) readRawLine() (string, error) {
+	line, err := c.r.ReadString('\n')
+	if err != nil {
+		return "", c.fail(err)
+	}
+	return strings.TrimRight(line, "\r\n"), nil
+}
+
+// roundTrip flushes the single request the caller just queued and
+// returns its reply; queueErr is the error of the Queue* call that
+// buffered it. A server ERR reply is returned as the error as well as in
+// the Reply.
+func (c *Conn) roundTrip(queueErr error) (Reply, error) {
+	if queueErr != nil {
+		return Reply{}, queueErr
+	}
 	reps, err := c.Flush()
 	if err != nil {
 		return Reply{}, err
@@ -468,69 +490,39 @@ func (c *Conn) one() (Reply, error) {
 	if len(reps) != 1 {
 		return Reply{}, fmt.Errorf("client: expected 1 reply, got %d", len(reps))
 	}
-	return reps[0], nil
+	return reps[0], reps[0].Err
 }
 
 // Get fetches key.
 func (c *Conn) Get(key string) (string, bool, error) {
-	if err := c.QueueGet(key); err != nil {
-		return "", false, err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return "", false, err
-	}
-	return rep.Value, rep.Found, rep.Err
+	rep, err := c.roundTrip(c.QueueGet(key))
+	return rep.Value, rep.Found, err
 }
 
 // Set stores key=val with an optional TTL (0 = no expiry).
 func (c *Conn) Set(key, val string, ttl time.Duration) error {
-	if err := c.QueueSet(key, val, ttl); err != nil {
-		return err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return err
-	}
-	return rep.Err
+	_, err := c.roundTrip(c.QueueSet(key, val, ttl))
+	return err
 }
 
 // Del removes key, reporting whether it was present.
 func (c *Conn) Del(key string) (bool, error) {
-	if err := c.QueueDel(key); err != nil {
-		return false, err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return false, err
-	}
-	return rep.Found, rep.Err
+	rep, err := c.roundTrip(c.QueueDel(key))
+	return rep.Found, err
 }
 
 // GetV fetches key with its replication version word.
 func (c *Conn) GetV(key string) (val string, ver uint64, found bool, err error) {
-	if err := c.QueueGetV(key); err != nil {
-		return "", 0, false, err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return "", 0, false, err
-	}
-	return rep.Value, rep.Ver, rep.Found, rep.Err
+	rep, err := c.roundTrip(c.QueueGetV(key))
+	return rep.Value, rep.Ver, rep.Found, err
 }
 
 // SetV stores key=val (ttl 0 = no expiry) and returns the write's
 // version word (0 if the entry was evicted before the acknowledging
 // read-back — harmless, the client just learns nothing).
 func (c *Conn) SetV(key, val string, ttl time.Duration) (uint64, error) {
-	if err := c.QueueSetV(key, val, ttl); err != nil {
-		return 0, err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return 0, err
-	}
-	return rep.Ver, rep.Err
+	rep, err := c.roundTrip(c.QueueSetV(key, val, ttl))
+	return rep.Ver, err
 }
 
 // Lease runs one round of the miss-lease protocol for key. Inspect the
@@ -539,79 +531,95 @@ func (c *Conn) SetV(key, val string, ttl time.Duration) (uint64, error) {
 // the server offered an expired copy, and otherwise Wait is the retry
 // hint. Pool.GetOrFill drives the whole loop.
 func (c *Conn) Lease(key string) (Reply, error) {
-	if err := c.QueueLease(key); err != nil {
-		return Reply{}, err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return Reply{}, err
-	}
-	return rep, rep.Err
+	return c.roundTrip(c.QueueLease(key))
 }
 
 // SetLease publishes a lease fill. filled reports whether the server
 // accepted it; a false return means the token lost to a newer write or
 // expiry and nothing was stored.
 func (c *Conn) SetLease(key string, token uint64, val string, ttl time.Duration) (ver uint64, filled bool, err error) {
-	if err := c.QueueSetLease(key, token, val, ttl); err != nil {
-		return 0, false, err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return 0, false, err
-	}
-	return rep.Ver, rep.Found, rep.Err
+	rep, err := c.roundTrip(c.QueueSetLease(key, token, val, ttl))
+	return rep.Ver, rep.Found, err
 }
 
 // TTL returns key's remaining lifetime (-1 if persistent).
 func (c *Conn) TTL(key string) (time.Duration, bool, error) {
-	if err := c.QueueTTL(key); err != nil {
-		return 0, false, err
+	rep, err := c.roundTrip(c.QueueTTL(key))
+	return rep.TTL, rep.Found, err
+}
+
+// exchange runs one request whose reply recv reads, on a pipeline with
+// nothing else queued: a multi-line reply cannot interleave with other
+// requests' replies. send writes the request; the Conn's IO timeout, if
+// any, covers the whole exchange and is raised to at least minTimeout.
+// what names the caller in the queued-requests error.
+func (c *Conn) exchange(what string, minTimeout time.Duration, send, recv func() error) error {
+	if c.closed {
+		return ErrClosed
 	}
-	rep, err := c.one()
+	if c.broken != nil {
+		return c.broken
+	}
+	if c.pending > 0 {
+		return fmt.Errorf("client: %s with requests still queued", what)
+	}
+	if c.ioTimeout > 0 {
+		c.nc.SetDeadline(time.Now().Add(max(c.ioTimeout, minTimeout)))
+		defer c.nc.SetDeadline(time.Time{})
+	}
+	if err := send(); err != nil {
+		return err
+	}
+	if err := c.w.Flush(); err != nil {
+		return c.fail(err)
+	}
+	return recv()
+}
+
+// readTable reads a table reply up to its END line, handing each
+// "<prefix><name> <value>" line to row. An ERR line is the whole reply.
+// Any other line, or a line row rejects, breaks the Conn: the rest of the
+// table is still in flight and would be read as the next reply.
+func (c *Conn) readTable(verb, prefix string, row func(name, val string) bool) error {
+	for {
+		line, err := c.readRawLine()
+		if err != nil {
+			return err
+		}
+		if line == "END" {
+			return nil
+		}
+		if msg, ok := strings.CutPrefix(line, "ERR "); ok {
+			return &ServerError{Msg: msg}
+		}
+		rest, isRow := strings.CutPrefix(line, prefix)
+		name, val, ok := strings.Cut(rest, " ")
+		if !isRow || !ok || !row(name, val) {
+			return c.fail(fmt.Errorf("client: malformed %s line %q", verb, line))
+		}
+	}
+}
+
+// statTable runs a STATS or CLUSTER exchange and returns its table.
+func (c *Conn) statTable(what, verb, prefix string) (map[string]string, error) {
+	out := make(map[string]string)
+	err := c.exchange(what, 0,
+		func() error { return encode(c.w, "", &request{verb: verb}) },
+		func() error {
+			return c.readTable(verb, prefix, func(name, val string) bool {
+				out[name] = val
+				return true
+			})
+		})
 	if err != nil {
-		return 0, false, err
+		return nil, err
 	}
-	return rep.TTL, rep.Found, rep.Err
+	return out, nil
 }
 
 // Stats fetches the server's STATS map.
 func (c *Conn) Stats() (map[string]string, error) {
-	if c.closed {
-		return nil, ErrClosed
-	}
-	if c.broken != nil {
-		return nil, c.broken
-	}
-	if len(c.pending) > 0 {
-		return nil, errors.New("client: Stats with requests still queued")
-	}
-	if c.ioTimeout > 0 {
-		c.nc.SetDeadline(time.Now().Add(c.ioTimeout))
-		defer c.nc.SetDeadline(time.Time{})
-	}
-	if _, err := c.w.WriteString("STATS\n"); err != nil {
-		return nil, c.fail(err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, c.fail(err)
-	}
-	out := make(map[string]string)
-	for {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			return nil, c.fail(err)
-		}
-		line = strings.TrimRight(line, "\r\n")
-		if line == "END" {
-			return out, nil
-		}
-		name, val, ok := strings.Cut(strings.TrimPrefix(line, "STAT "), " ")
-		if !ok || !strings.HasPrefix(line, "STAT ") {
-			return nil, fmt.Errorf("client: malformed STATS line %q", line)
-		}
-		out[name] = val
-	}
+	return c.statTable("Stats", "STATS", "STAT ")
 }
 
 // Health-check failure reasons, indexed into Pool's per-reason counters
@@ -904,7 +912,7 @@ func (p *Pool) Get() (*Conn, error) {
 // discarded instead; Discard does both explicitly.
 func (p *Pool) Put(c *Conn) {
 	p.mu.Lock()
-	if p.done || c.closed || c.broken != nil || len(c.pending) > 0 {
+	if p.done || c.closed || c.broken != nil || c.pending > 0 {
 		done := p.done
 		p.mu.Unlock()
 		c.Close()
@@ -942,14 +950,16 @@ func (p *Pool) Close() {
 	}
 }
 
-// do runs one pooled operation with the pool's retry policy. canRetry
-// gates retries entirely (non-idempotent ops pass false unless opted in);
-// each retry consumes budget and sleeps a full-jitter backoff first.
-func (p *Pool) do(canRetry bool, fn func(c *Conn) error) error {
+// pooled runs fn on a pooled Conn with the pool's retry policy and
+// returns its result. retry gates retries entirely (non-idempotent ops
+// pass false unless opted in); each retry consumes budget and sleeps a
+// full-jitter backoff first.
+func pooled[T any](p *Pool, retry bool, fn func(c *Conn) (T, error)) (T, error) {
 	attempts := 1
-	if canRetry && p.opt.MaxRetries > 0 {
+	if retry && p.opt.MaxRetries > 0 {
 		attempts += p.opt.MaxRetries
 	}
+	var out T
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
@@ -965,79 +975,80 @@ func (p *Pool) do(canRetry bool, fn func(c *Conn) error) error {
 			if errors.Is(err, ErrClosed) || errors.Is(err, ErrCircuitOpen) {
 				// Terminal for this op: the pool is gone, or the breaker
 				// wants silence — backing off here would defeat its point.
-				return err
+				return out, err
 			}
 			lastErr = err
 			continue
 		}
-		err = fn(c)
+		out, err = fn(c)
 		p.release(c, err)
 		if err == nil {
 			if p.budget != nil {
 				p.budget.success()
 			}
-			return nil
+			return out, nil
 		}
 		lastErr = err
 		if !retryable(err) {
-			return err
+			return out, err
 		}
 	}
-	return lastErr
+	return out, lastErr
+}
+
+// roundTrip runs one request on a pooled Conn under the retry policy:
+// queue buffers it, and every attempt carries the trace ID ("" =
+// untraced). retry is the verb's idempotence rule; each pooled one-shot
+// states it here, at its one call site.
+func (p *Pool) roundTrip(retry bool, trace string, queue func(c *Conn) error) (Reply, error) {
+	return pooled(p, retry, func(c *Conn) (Reply, error) {
+		if err := c.SetTrace(trace); err != nil {
+			return Reply{}, err
+		}
+		defer c.SetTrace("")
+		return c.roundTrip(queue(c))
+	})
 }
 
 // Set is a pooled one-shot SET. It is retried only when Options.RetrySets
 // opted SETs into the retry policy.
 func (p *Pool) Set(key, val string, ttl time.Duration) error {
-	return p.do(p.opt.RetrySets, func(c *Conn) error {
-		return c.Set(key, val, ttl)
-	})
+	return p.SetTraced(key, val, ttl, "")
 }
 
 // Get1 is a pooled one-shot GET (named to avoid clashing with pool
 // checkout).
 func (p *Pool) Get1(key string) (string, bool, error) {
-	var v string
-	var ok bool
-	err := p.do(true, func(c *Conn) error {
-		var err error
-		v, ok, err = c.Get(key)
-		return err
-	})
-	return v, ok, err
+	return p.GetTraced(key, "")
 }
 
 // Del is a pooled one-shot DEL.
 func (p *Pool) Del(key string) (bool, error) {
-	var ok bool
-	err := p.do(true, func(c *Conn) error {
-		var err error
-		ok, err = c.Del(key)
-		return err
-	})
-	return ok, err
+	rep, err := p.roundTrip(true, "", func(c *Conn) error { return c.QueueDel(key) })
+	return rep.Found, err
 }
 
 // GetV1 is a pooled one-shot GETV.
 func (p *Pool) GetV1(key string) (val string, ver uint64, found bool, err error) {
-	err = p.do(true, func(c *Conn) error {
-		var cerr error
-		val, ver, found, cerr = c.GetV(key)
-		return cerr
-	})
-	return val, ver, found, err
+	rep, err := p.getV(key, "")
+	return rep.Value, rep.Ver, rep.Found, err
+}
+
+// getV is GetV1 with a trace ID, returning the whole reply.
+func (p *Pool) getV(key, trace string) (Reply, error) {
+	return p.roundTrip(true, trace, func(c *Conn) error { return c.QueueGetV(key) })
 }
 
 // SetV1 is a pooled one-shot SETV, returning the write's version word.
 // Like Set, it is retried only when Options.RetrySets is set.
 func (p *Pool) SetV1(key, val string, ttl time.Duration) (uint64, error) {
-	var ver uint64
-	err := p.do(p.opt.RetrySets, func(c *Conn) error {
-		var cerr error
-		ver, cerr = c.SetV(key, val, ttl)
-		return cerr
-	})
-	return ver, err
+	rep, err := p.setV(key, val, ttl, "")
+	return rep.Ver, err
+}
+
+// setV is SetV1 with a trace ID, returning the whole reply.
+func (p *Pool) setV(key, val string, ttl time.Duration, trace string) (Reply, error) {
+	return p.roundTrip(p.opt.RetrySets, trace, func(c *Conn) error { return c.QueueSetV(key, val, ttl) })
 }
 
 // Lease defaults for GetOrFill: the back-off used when the server
@@ -1064,12 +1075,7 @@ var ErrLeaseWait = errors.New("client: lease wait exhausted")
 // publish loses to a concurrent fresher write.
 func (p *Pool) GetOrFill(key string, ttl time.Duration, acceptStale bool, fill func() (string, error)) (string, error) {
 	for round := 0; round < leaseMaxRounds; round++ {
-		var rep Reply
-		err := p.do(true, func(c *Conn) error {
-			var cerr error
-			rep, cerr = c.Lease(key)
-			return cerr
-		})
+		rep, err := p.roundTrip(true, "", func(c *Conn) error { return c.QueueLease(key) })
 		if err != nil {
 			return "", err
 		}
@@ -1083,10 +1089,7 @@ func (p *Pool) GetOrFill(key string, ttl time.Duration, acceptStale bool, fill f
 				// back to re-acquiring after the TTL.
 				return "", err
 			}
-			p.do(false, func(c *Conn) error {
-				_, _, cerr := c.SetLease(key, rep.Lease, val, ttl)
-				return cerr
-			})
+			p.roundTrip(false, "", func(c *Conn) error { return c.QueueSetLease(key, rep.Lease, val, ttl) })
 			// A rejected fill means a fresher write already landed; the
 			// freshly computed value is still correct to serve here.
 			p.leaseFills.Add(1)
@@ -1108,14 +1111,8 @@ func (p *Pool) GetOrFill(key string, ttl time.Duration, acceptStale bool, fill f
 
 // TTL1 is a pooled one-shot TTL query.
 func (p *Pool) TTL1(key string) (time.Duration, bool, error) {
-	var d time.Duration
-	var ok bool
-	err := p.do(true, func(c *Conn) error {
-		var err error
-		d, ok, err = c.TTL(key)
-		return err
-	})
-	return d, ok, err
+	rep, err := p.roundTrip(true, "", func(c *Conn) error { return c.QueueTTL(key) })
+	return rep.TTL, rep.Found, err
 }
 
 // Collect implements obs.Collector so applications embedding the client
@@ -1129,38 +1126,70 @@ func (p *Pool) Collect(m *obs.Metrics) {
 // one series set per node (label "node"), so a dashboard can tell which
 // peer's breaker tripped.
 func (p *Pool) CollectWith(m *obs.Metrics, labels ...string) {
-	st := p.Stats()
-	m.Gauge("cuckood_client_pool_capacity", "Maximum concurrent pooled connections.", float64(st.Capacity), labels...)
-	m.Gauge("cuckood_client_pool_in_use", "Connections currently checked out.", float64(st.InUse), labels...)
-	m.Gauge("cuckood_client_pool_idle", "Connections parked in the free list.", float64(st.Idle), labels...)
-	m.Counter("cuckood_client_dials_total", "Connections dialed over the pool's lifetime.", float64(st.Dials), labels...)
-	m.Counter("cuckood_client_dial_failures_total", "Dial attempts that failed.", float64(st.DialFailures), labels...)
-	m.Counter("cuckood_client_discards_total", "Connections closed instead of pooled.", float64(st.Discards), labels...)
-	m.Counter("cuckood_client_health_discards_total", "Idle connections rejected by the checkout health check.", float64(st.HealthCheckDiscards), labels...)
-	for _, reason := range healthReasons {
-		m.Counter("cuckood_client_health_check_failures_total",
-			"Checkout health-check failures by class: broken, closed, buffered (pipeline desync), socket (peer went away).",
-			float64(st.HealthCheckFailures[reason]), append([]string{"reason", reason}, labels...)...)
-	}
-	m.Counter("cuckood_client_retries_total", "Operation retry attempts.", float64(st.Retries), labels...)
-	m.Counter("cuckood_client_retry_budget_denied_total", "Retries suppressed by an exhausted retry budget.", float64(st.RetryBudgetDenied), labels...)
-	m.Gauge("cuckood_client_retry_budget_tokens", "Retry token bucket level; near zero means retries are being rationed.", st.RetryBudgetTokens, labels...)
-	m.Counter("cuckood_client_timeouts_total", "Transport failures that were deadline timeouts.", float64(st.Timeouts), labels...)
-	m.Counter("cuckood_client_busy_rejections_total", "Server ERR busy overload rejections observed.", float64(st.BusyRejections), labels...)
-	m.Counter("cuckood_client_lease_waits_total", "GetOrFill rounds spent waiting on another client's in-flight fill.", float64(st.LeaseWaits), labels...)
-	m.Counter("cuckood_client_lease_fills_total", "Fills published after winning a miss lease.", float64(st.LeaseFills), labels...)
-	m.Counter("cuckood_client_lease_stale_served_total", "Stale copies accepted while a fill was in flight.", float64(st.LeaseStaleServed), labels...)
-	m.Gauge("cuckood_client_breaker_state", "Circuit breaker position: 0 closed, 1 open, 2 half-open.", float64(st.BreakerState), labels...)
-	m.Counter("cuckood_client_breaker_opens_total", "Circuit breaker trips.", float64(st.BreakerOpens), labels...)
-	m.Counter("cuckood_client_breaker_closes_total", "Circuit breaker recoveries.", float64(st.BreakerCloses), labels...)
-	m.Counter("cuckood_client_breaker_denied_total", "Operations fast-failed while the breaker was open.", float64(st.BreakerDenied), labels...)
-	for i, n := range p.brk.transitionCounts() {
-		e := brEdges[i]
-		m.Counter("cuckood_client_breaker_transitions_total",
-			"Circuit breaker state transitions by edge.",
-			float64(n), append([]string{"from", e.from, "to", e.to}, labels...)...)
+	v := poolView{PoolStats: p.Stats(), edges: p.brk.transitionCounts()}
+	for _, s := range poolSeries {
+		emit := m.Counter
+		if s.kind == obs.KindGauge {
+			emit = m.Gauge
+		}
+		emit(s.name, s.help, s.read(&v), slices.Concat(s.label, labels)...)
 	}
 }
+
+// poolView is what one scrape reads: the PoolStats snapshot plus the
+// breaker's per-edge transition counts.
+type poolView struct {
+	PoolStats
+	edges [brEdgeCount]uint64
+}
+
+// poolSeriesDef declares one /metrics sample of a Pool.
+type poolSeriesDef struct {
+	name, help string
+	kind       obs.Kind // obs.KindCounter or obs.KindGauge
+	label      []string // the sample's own label pair within a shared family
+	read       func(v *poolView) float64
+}
+
+// poolSeries is the single declaration of a Pool's /metrics series, in
+// export order; CollectWith renders every entry. Adding a series means
+// adding one entry here (and its PoolStats field).
+var poolSeries = func() []poolSeriesDef {
+	counter, gauge := obs.KindCounter, obs.KindGauge
+	defs := []poolSeriesDef{
+		{"cuckood_client_pool_capacity", "Maximum concurrent pooled connections.", gauge, nil, func(v *poolView) float64 { return float64(v.Capacity) }},
+		{"cuckood_client_pool_in_use", "Connections currently checked out.", gauge, nil, func(v *poolView) float64 { return float64(v.InUse) }},
+		{"cuckood_client_pool_idle", "Connections parked in the free list.", gauge, nil, func(v *poolView) float64 { return float64(v.Idle) }},
+		{"cuckood_client_dials_total", "Connections dialed over the pool's lifetime.", counter, nil, func(v *poolView) float64 { return float64(v.Dials) }},
+		{"cuckood_client_dial_failures_total", "Dial attempts that failed.", counter, nil, func(v *poolView) float64 { return float64(v.DialFailures) }},
+		{"cuckood_client_discards_total", "Connections closed instead of pooled.", counter, nil, func(v *poolView) float64 { return float64(v.Discards) }},
+		{"cuckood_client_health_discards_total", "Idle connections rejected by the checkout health check.", counter, nil, func(v *poolView) float64 { return float64(v.HealthCheckDiscards) }},
+	}
+	for _, reason := range healthReasons {
+		defs = append(defs, poolSeriesDef{"cuckood_client_health_check_failures_total",
+			"Checkout health-check failures by class: broken, closed, buffered (pipeline desync), socket (peer went away).",
+			counter, []string{"reason", reason}, func(v *poolView) float64 { return float64(v.HealthCheckFailures[reason]) }})
+	}
+	defs = append(defs, []poolSeriesDef{
+		{"cuckood_client_retries_total", "Operation retry attempts.", counter, nil, func(v *poolView) float64 { return float64(v.Retries) }},
+		{"cuckood_client_retry_budget_denied_total", "Retries suppressed by an exhausted retry budget.", counter, nil, func(v *poolView) float64 { return float64(v.RetryBudgetDenied) }},
+		{"cuckood_client_retry_budget_tokens", "Retry token bucket level; near zero means retries are being rationed.", gauge, nil, func(v *poolView) float64 { return v.RetryBudgetTokens }},
+		{"cuckood_client_timeouts_total", "Transport failures that were deadline timeouts.", counter, nil, func(v *poolView) float64 { return float64(v.Timeouts) }},
+		{"cuckood_client_busy_rejections_total", "Server ERR busy overload rejections observed.", counter, nil, func(v *poolView) float64 { return float64(v.BusyRejections) }},
+		{"cuckood_client_lease_waits_total", "GetOrFill rounds spent waiting on another client's in-flight fill.", counter, nil, func(v *poolView) float64 { return float64(v.LeaseWaits) }},
+		{"cuckood_client_lease_fills_total", "Fills published after winning a miss lease.", counter, nil, func(v *poolView) float64 { return float64(v.LeaseFills) }},
+		{"cuckood_client_lease_stale_served_total", "Stale copies accepted while a fill was in flight.", counter, nil, func(v *poolView) float64 { return float64(v.LeaseStaleServed) }},
+		{"cuckood_client_breaker_state", "Circuit breaker position: 0 closed, 1 open, 2 half-open.", gauge, nil, func(v *poolView) float64 { return float64(v.BreakerState) }},
+		{"cuckood_client_breaker_opens_total", "Circuit breaker trips.", counter, nil, func(v *poolView) float64 { return float64(v.BreakerOpens) }},
+		{"cuckood_client_breaker_closes_total", "Circuit breaker recoveries.", counter, nil, func(v *poolView) float64 { return float64(v.BreakerCloses) }},
+		{"cuckood_client_breaker_denied_total", "Operations fast-failed while the breaker was open.", counter, nil, func(v *poolView) float64 { return float64(v.BreakerDenied) }},
+	}...)
+	for i, e := range brEdges {
+		defs = append(defs, poolSeriesDef{"cuckood_client_breaker_transitions_total", "Circuit breaker state transitions by edge.",
+			counter, []string{"from", e.from, "to", e.to}, func(v *poolView) float64 { return float64(v.edges[i]) }})
+	}
+	return defs
+}()
 
 // budgetLevel returns the retry budget's current token count, or its
 // configured maximum when retries are disabled (no budget exists, so

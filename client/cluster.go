@@ -33,41 +33,7 @@ const clientMigrateTimeout = 30 * time.Second
 // ClusterInfo fetches the node's CLUSTER map (load figures and migration
 // counters; see docs/PROTOCOL.md).
 func (c *Conn) ClusterInfo() (map[string]string, error) {
-	if c.closed {
-		return nil, ErrClosed
-	}
-	if c.broken != nil {
-		return nil, c.broken
-	}
-	if len(c.pending) > 0 {
-		return nil, errors.New("client: ClusterInfo with requests still queued")
-	}
-	if c.ioTimeout > 0 {
-		c.nc.SetDeadline(time.Now().Add(c.ioTimeout))
-		defer c.nc.SetDeadline(time.Time{})
-	}
-	if _, err := c.w.WriteString("CLUSTER\n"); err != nil {
-		return nil, c.fail(err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, c.fail(err)
-	}
-	out := make(map[string]string)
-	for {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			return nil, c.fail(err)
-		}
-		line = strings.TrimRight(line, "\r\n")
-		if line == "END" {
-			return out, nil
-		}
-		name, val, ok := strings.Cut(strings.TrimPrefix(line, "CLUSTER "), " ")
-		if !ok || !strings.HasPrefix(line, "CLUSTER ") {
-			return nil, fmt.Errorf("client: malformed CLUSTER line %q", line)
-		}
-		out[name] = val
-	}
+	return c.statTable("ClusterInfo", "CLUSTER", "CLUSTER ")
 }
 
 // Migrate asks the connected node to move up to max keys (0 = unlimited)
@@ -76,40 +42,25 @@ func (c *Conn) ClusterInfo() (map[string]string, error) {
 // exchange gets a deadline of at least clientMigrateTimeout because the
 // server transfers the selected keys synchronously before answering.
 func (c *Conn) Migrate(mode, dest, self string, seed uint64, max int, ring string) (int, error) {
-	if c.closed {
-		return 0, ErrClosed
-	}
-	if c.broken != nil {
-		return 0, c.broken
-	}
-	if len(c.pending) > 0 {
-		return 0, errors.New("client: Migrate with requests still queued")
-	}
-	if c.ioTimeout > 0 {
-		d := c.ioTimeout
-		if d < clientMigrateTimeout {
-			d = clientMigrateTimeout
-		}
-		c.nc.SetDeadline(time.Now().Add(d))
-		defer c.nc.SetDeadline(time.Time{})
-	}
-	c.writeTrace()
-	fmt.Fprintf(c.w, "MIGRATE %s %s %s %d %d %s\n", mode, dest, self, seed, max, ring)
-	if err := c.w.Flush(); err != nil {
-		return 0, c.fail(err)
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return 0, c.fail(err)
-	}
-	line = strings.TrimRight(line, "\r\n")
-	if rest, ok := strings.CutPrefix(line, "MIGRATED "); ok {
-		return strconv.Atoi(rest)
-	}
-	if rest, ok := strings.CutPrefix(line, "ERR "); ok {
-		return 0, &ServerError{Msg: rest}
-	}
-	return 0, fmt.Errorf("client: unexpected MIGRATE reply %q", line)
+	r := request{verb: "MIGRATE", ops: withVal, val: fmt.Sprintf("%s %s %s %d %d %s", mode, dest, self, seed, max, ring)}
+	moved := 0
+	err := c.exchange("Migrate", clientMigrateTimeout,
+		func() error { return encode(c.w, c.trace, &r) },
+		func() error {
+			line, err := c.readRawLine()
+			if err != nil {
+				return err
+			}
+			if rest, ok := strings.CutPrefix(line, "MIGRATED "); ok {
+				moved, err = strconv.Atoi(rest)
+				return err
+			}
+			if rest, ok := strings.CutPrefix(line, "ERR "); ok {
+				return &ServerError{Msg: rest}
+			}
+			return fmt.Errorf("client: unexpected MIGRATE reply %q", line)
+		})
+	return moved, err
 }
 
 // ClusterOptions configures a Cluster. Every zero value selects a usable
@@ -256,17 +207,27 @@ func (cl *Cluster) candidates(key string) (*clusterNode, *clusterNode) {
 // the node-level analogue of a cuckoo insert placing an item in its
 // second bucket. See SetWhere for which node acked.
 func (cl *Cluster) Set(key, val string, ttl time.Duration) error {
-	_, err := cl.SetWhere(key, val, ttl)
+	return cl.SetTraced(key, val, ttl, "")
+}
+
+// SetTraced is Set with a trace ID, carried across the spill to the
+// alternate node.
+func (cl *Cluster) SetTraced(key, val string, ttl time.Duration, trace string) error {
+	_, err := cl.setWhere(key, val, ttl, trace)
 	return err
 }
 
 // SetWhere is Set, also reporting the address of the node that
 // acknowledged the write (chaos tests audit acked writes per node).
-// Writes go out as SETV so the acked version word lands in the version
-// memory: any replica copy this client later reads must be at least
-// this fresh (client/replica.go), and any locally cached hot value is
-// invalidated immediately.
 func (cl *Cluster) SetWhere(key, val string, ttl time.Duration) (string, error) {
+	return cl.setWhere(key, val, ttl, "")
+}
+
+// setWhere is every cluster write. Writes go out as SETV so the acked
+// version word lands in the version memory: any replica copy this
+// client later reads must be at least this fresh (client/replica.go),
+// and any locally cached hot value is invalidated immediately.
+func (cl *Cluster) setWhere(key, val string, ttl time.Duration, trace string) (string, error) {
 	if cl.hot != nil {
 		cl.hot.invalidate(key)
 	}
@@ -276,9 +237,9 @@ func (cl *Cluster) SetWhere(key, val string, ttl time.Duration) (string, error) 
 		first, second = alt, pri
 		alt.spills.Add(1)
 	}
-	ver, err := first.pool.SetV1(key, val, ttl)
+	rep, err := first.pool.setV(key, val, ttl, trace)
 	if err == nil {
-		cl.verMem.observe(key, ver)
+		cl.verMem.observe(key, rep.Ver)
 		return first.addr, nil
 	}
 	if second == first {
@@ -288,8 +249,8 @@ func (cl *Cluster) SetWhere(key, val string, ttl time.Duration) (string, error) 
 	// breakers obviously, and server-side errors too — a busy or full
 	// first choice says nothing about the other node's capacity.
 	second.spills.Add(1)
-	if ver2, err2 := second.pool.SetV1(key, val, ttl); err2 == nil {
-		cl.verMem.observe(key, ver2)
+	if rep, err2 := second.pool.setV(key, val, ttl, trace); err2 == nil {
+		cl.verMem.observe(key, rep.Ver)
 		return second.addr, nil
 	}
 	return "", err
@@ -303,18 +264,6 @@ func (cl *Cluster) spillWanted(pri, alt *clusterNode) bool {
 	return pl >= cl.opt.SpillWatermark && alt.load() < pl
 }
 
-// retriableOnAlternate reports whether a write failure on one candidate
-// justifies trying the other: transport failures, open breakers, and
-// server-side overload or capacity errors do; anything else (a malformed
-// key, say) would just fail again.
-func retriableOnAlternate(err error) bool {
-	var se *ServerError
-	if errors.As(err, &se) {
-		return true // busy, table full: the alternate has its own capacity
-	}
-	return true
-}
-
 // Get fetches key, reading the primary first and falling through to the
 // alternate on a miss or failure — the read path mirror of the write
 // spill, same as a table lookup probing both candidate buckets. With
@@ -325,6 +274,14 @@ func retriableOnAlternate(err error) bool {
 // (per the servers' HOTKEYS ranking) are additionally served from the
 // local hot cache and spread across both candidates.
 func (cl *Cluster) Get(key string) (string, bool, error) {
+	return cl.GetTraced(key, "")
+}
+
+// GetTraced is Get with a trace ID: the primary read and any alternate
+// fallthrough carry the same ID, so a cross-node read shows up as one
+// trace on both nodes' recorders. A read the hot cache serves sends
+// nothing.
+func (cl *Cluster) GetTraced(key, trace string) (string, bool, error) {
 	if cl.hot != nil {
 		if v, ver, ok := cl.hot.get(key, time.Now()); ok && cl.admitRead(key, ver) {
 			return v, true, nil
@@ -339,31 +296,27 @@ func (cl *Cluster) Get(key string) (string, bool, error) {
 			first, second = alt, pri
 		}
 	}
-	v, ver, ok, err := first.pool.GetV1(key)
-	if ok && err == nil && cl.admitRead(key, ver) {
-		cl.noteRead(key, v, ver)
-		return v, true, nil
+	rep, err := first.pool.getV(key, trace)
+	if err == nil && rep.Found && cl.admitRead(key, rep.Ver) {
+		cl.noteRead(key, rep.Value, rep.Ver)
+		return rep.Value, true, nil
 	}
-	if second == first {
-		return v, ok, err
-	}
-	second.altReads.Add(1)
-	v2, ver2, ok2, err2 := second.pool.GetV1(key)
-	if ok2 && err2 == nil && cl.admitRead(key, ver2) {
-		second.altHits.Add(1)
-		cl.noteRead(key, v2, ver2)
-		return v2, true, nil
-	}
-	// Prefer reporting the first node's error if both paths failed.
-	if err != nil {
-		return "", false, err
-	}
-	if err2 != nil {
-		return "", false, err2
+	if second != first {
+		second.altReads.Add(1)
+		rep2, err2 := second.pool.getV(key, trace)
+		if err2 == nil && rep2.Found && cl.admitRead(key, rep2.Ver) {
+			second.altHits.Add(1)
+			cl.noteRead(key, rep2.Value, rep2.Ver)
+			return rep2.Value, true, nil
+		}
+		// Prefer reporting the first node's error if both paths failed.
+		if err == nil {
+			err = err2
+		}
 	}
 	// A hit rejected by the version floor reports a miss: serving
 	// nothing beats serving a value older than one already seen.
-	return "", false, nil
+	return "", false, err
 }
 
 // Del removes key from both candidate nodes (a key can live on either
@@ -458,18 +411,20 @@ type NodeStatus struct {
 func (cl *Cluster) Probe() error {
 	var firstErr error
 	for _, n := range cl.nodes {
-		if err := cl.probeNode(n); err != nil && firstErr == nil {
-			firstErr = err
+		if _, err := cl.probeNode(n); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("probe %s: %w", n.addr, err)
 		}
 	}
 	return firstErr
 }
 
-func (cl *Cluster) probeNode(n *clusterNode) error {
-	info, err := cl.clusterInfo(n)
+// probeNode runs one CLUSTER exchange on n, records n's load figures,
+// and returns the whole CLUSTER map.
+func (cl *Cluster) probeNode(n *clusterNode) (map[string]string, error) {
+	info, err := pooled(n.pool, false, (*Conn).ClusterInfo)
 	if err != nil {
 		n.probeFails.Add(1)
-		return fmt.Errorf("probe %s: %w", n.addr, err)
+		return nil, err
 	}
 	entries, _ := strconv.ParseUint(info["entries"], 10, 64)
 	capacity, _ := strconv.ParseUint(info["capacity"], 10, 64)
@@ -477,29 +432,14 @@ func (cl *Cluster) probeNode(n *clusterNode) error {
 	n.entries.Store(entries)
 	n.capacity.Store(capacity)
 	n.loadBits.Store(math.Float64bits(load))
-	return nil
-}
-
-// clusterInfo runs one CLUSTER exchange through n's pool.
-func (cl *Cluster) clusterInfo(n *clusterNode) (map[string]string, error) {
-	c, err := n.pool.Get()
-	if err != nil {
-		return nil, err
-	}
-	info, err := c.ClusterInfo()
-	n.pool.release(c, err)
-	return info, err
+	return info, nil
 }
 
 // migrate runs one MIGRATE exchange on src's pool against the given ring.
 func (cl *Cluster) migrate(src *clusterNode, mode, dest string, max int, ring *cluster.Ring) (int, error) {
-	c, err := src.pool.Get()
-	if err != nil {
-		return 0, err
-	}
-	n, err := c.Migrate(mode, dest, src.addr, ring.Seed(), max, ring.CSV())
-	src.pool.release(c, err)
-	return n, err
+	return pooled(src.pool, false, func(c *Conn) (int, error) {
+		return c.Migrate(mode, dest, src.addr, ring.Seed(), max, ring.CSV())
+	})
 }
 
 // Status probes every node and returns the merged per-node view.
@@ -507,21 +447,14 @@ func (cl *Cluster) Status() []NodeStatus {
 	out := make([]NodeStatus, 0, len(cl.nodes))
 	for _, n := range cl.nodes {
 		st := NodeStatus{Addr: n.addr}
-		info, err := cl.clusterInfo(n)
-		if err != nil {
-			n.probeFails.Add(1)
+		if info, err := cl.probeNode(n); err != nil {
 			st.Err = err
 		} else {
-			st.Entries, _ = strconv.ParseUint(info["entries"], 10, 64)
-			st.Capacity, _ = strconv.ParseUint(info["capacity"], 10, 64)
-			st.Load, _ = strconv.ParseFloat(info["load"], 64)
+			st.Entries, st.Capacity, st.Load = n.entries.Load(), n.capacity.Load(), n.load()
 			st.MigratedIn, _ = strconv.ParseUint(info["migrated_in"], 10, 64)
 			st.MigratedOut, _ = strconv.ParseUint(info["migrated_out"], 10, 64)
 			st.Handoffs, _ = strconv.ParseUint(info["handoffs"], 10, 64)
 			st.MigrateFails, _ = strconv.ParseUint(info["migrate_failures"], 10, 64)
-			n.entries.Store(st.Entries)
-			n.capacity.Store(st.Capacity)
-			n.loadBits.Store(math.Float64bits(st.Load))
 		}
 		st.ClientSpills = n.spills.Load()
 		st.ClientAltHits = n.altHits.Load()

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -188,5 +189,49 @@ func TestHotCache(t *testing.T) {
 	h.setHotSet([]HotKey{{Key: "other", Count: 1}})
 	if _, _, ok := h.get("hot", now); ok {
 		t.Fatal("served a value for a key that left the hot set")
+	}
+}
+
+// TestMalformedTableBreaksConn: a malformed line in the middle of a
+// STATS, CLUSTER or HOTKEYS table leaves the rest of the table in flight,
+// so the Conn must break instead of letting the next request read it.
+func TestMalformedTableBreaksConn(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		table string
+		call  func(c *Conn) error
+	}{
+		{"stats", "STAT a 1\nBOGUS\nSTAT b 2\nEND\n", func(c *Conn) error { _, err := c.Stats(); return err }},
+		{"cluster", "CLUSTER load 0.5\nBOGUS\nCLUSTER entries 2\nEND\n", func(c *Conn) error { _, err := c.ClusterInfo(); return err }},
+		{"hotkeys", "HOTKEY 3 a\nBOGUS\nHOTKEY 2 b\nEND\n", func(c *Conn) error { _, err := c.HotKeys(0); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cnc, snc := net.Pipe()
+			defer snc.Close()
+			go func() {
+				r := bufio.NewReader(snc)
+				reply := tc.table
+				for {
+					if _, err := r.ReadString('\n'); err != nil {
+						return
+					}
+					if _, err := snc.Write([]byte(reply)); err != nil {
+						return
+					}
+					reply = "MISS\n"
+				}
+			}()
+			c := newConn(cnc, time.Second)
+			defer c.Close()
+			if err := tc.call(c); err == nil {
+				t.Fatal("malformed table parsed without error")
+			}
+			if !errors.Is(c.Err(), ErrBrokenConn) {
+				t.Fatalf("Err() = %v after a malformed table, want the Conn broken", c.Err())
+			}
+			if _, _, err := c.Get("k"); !errors.Is(err, ErrBrokenConn) {
+				t.Fatalf("Get after a malformed table = %v, want ErrBrokenConn", err)
+			}
+		})
 	}
 }

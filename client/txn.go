@@ -5,12 +5,14 @@ package client
 //
 // None of these are idempotent — a retried INCR double-counts, a retried
 // CAS or EXEC can observe (and clobber) its own first attempt's effects —
-// so every pooled one-shot here passes canRetry=false to Pool.do and a
-// transport failure surfaces to the caller instead of being retried. This
+// so every pooled one-shot here runs with retries off and a transport
+// failure surfaces to the caller instead of being retried. This
 // holds even when Options.RetrySets opted SETs into retries: RetrySets
 // covers last-writer-wins SETs only, never the read-modify-write verbs.
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -26,111 +28,40 @@ var ErrTxnAborted = errors.New("client: transaction aborted")
 // request: key's integer value changes by delta, starting from 0 for a
 // missing key.
 func (c *Conn) QueueIncr(key string, delta int64) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	c.writeTrace()
-	c.w.WriteString("INCR ")
-	c.w.WriteString(key)
-	c.w.WriteByte(' ')
-	c.w.WriteString(strconv.FormatInt(delta, 10))
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opIncr)
-	return nil
+	return c.queue(numReq("INCR", key, delta))
 }
 
 // QueueMaxUpdate buffers a MAXUPDATE request: key's integer value becomes
 // max(current, val), treating a missing key as 0.
 func (c *Conn) QueueMaxUpdate(key string, val int64) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	c.writeTrace()
-	c.w.WriteString("MAXUPDATE ")
-	c.w.WriteString(key)
-	c.w.WriteByte(' ')
-	c.w.WriteString(strconv.FormatInt(val, 10))
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opIncr)
-	return nil
+	return c.queue(numReq("MAXUPDATE", key, val))
 }
 
 // QueueCAS buffers a CAS request: key's value becomes newVal only if it
 // currently equals old. old is a single protocol token (no spaces);
 // newVal may contain spaces but not newlines.
 func (c *Conn) QueueCAS(key, old, newVal string) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	if old == "" || strings.ContainsAny(old, " \r\n") {
-		return fmt.Errorf("client: CAS expected value %q must be one token", old)
-	}
-	if strings.ContainsAny(newVal, "\r\n") {
-		return fmt.Errorf("client: value for %q contains newline", key)
-	}
-	c.writeTrace()
-	c.w.WriteString("CAS ")
-	c.w.WriteString(key)
-	c.w.WriteByte(' ')
-	c.w.WriteString(old)
-	c.w.WriteByte(' ')
-	c.w.WriteString(newVal)
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opCAS)
-	return nil
+	return c.queue(casReq(key, old, newVal))
 }
 
 // Incr adds delta to key's integer value (negative deltas subtract).
 func (c *Conn) Incr(key string, delta int64) error {
-	if err := c.QueueIncr(key, delta); err != nil {
-		return err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return err
-	}
-	return rep.Err
+	_, err := c.roundTrip(c.QueueIncr(key, delta))
+	return err
 }
 
 // MaxUpdate raises key's integer value to val if it is currently lower.
 func (c *Conn) MaxUpdate(key string, val int64) error {
-	if err := c.QueueMaxUpdate(key, val); err != nil {
-		return err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return err
-	}
-	return rep.Err
+	_, err := c.roundTrip(c.QueueMaxUpdate(key, val))
+	return err
 }
 
 // CAS stores newVal only if key currently holds old. It returns
 // (stored, found): (true, true) on success, (false, true) on a value
 // conflict, (false, false) when the key does not exist.
 func (c *Conn) CAS(key, old, newVal string) (stored, found bool, err error) {
-	if err := c.QueueCAS(key, old, newVal); err != nil {
-		return false, false, err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return false, false, err
-	}
-	if rep.Err != nil {
-		return false, false, rep.Err
-	}
-	if rep.Conflict {
-		return false, true, nil
-	}
-	return rep.Found, rep.Found, nil
+	rep, err := c.roundTrip(c.QueueCAS(key, old, newVal))
+	return rep.Found, rep.Found || rep.Conflict, err
 }
 
 // Txn accumulates operations client-side for one MULTI…EXEC exchange.
@@ -140,17 +71,17 @@ func (c *Conn) CAS(key, old, newVal string) (stored, found bool, err error) {
 // the Txn and is returned by Exec, so call sites can build the whole
 // transaction without per-op error checks.
 type Txn struct {
-	keys  []string
-	lines []string
-	codes []opCode
-	err   error
+	keys []string      // each op's key, in queue order
+	ops  bytes.Buffer  // the encoded op lines
+	w    *bufio.Writer // encodes into ops, flushed after every op
+	err  error
 }
 
 // NewTxn returns an empty transaction builder.
 func NewTxn() *Txn { return &Txn{} }
 
 // Len returns the number of buffered operations.
-func (t *Txn) Len() int { return len(t.lines) }
+func (t *Txn) Len() int { return len(t.keys) }
 
 // Err returns the first validation error, if any.
 func (t *Txn) Err() error { return t.err }
@@ -169,66 +100,51 @@ func (t *Txn) Keys() []string {
 	return out
 }
 
-func (t *Txn) add(key, line string, code opCode) *Txn {
+// add encodes one op, or records why it is invalid.
+func (t *Txn) add(r request) *Txn {
 	if t.err != nil {
 		return t
 	}
-	if err := validKey(key); err != nil {
-		t.err = err
-		return t
+	if t.w == nil {
+		t.w = bufio.NewWriterSize(&t.ops, 256)
 	}
-	t.keys = append(t.keys, key)
-	t.lines = append(t.lines, line)
-	t.codes = append(t.codes, code)
+	if t.err = encode(t.w, "", &r); t.err == nil {
+		t.w.Flush()
+		t.keys = append(t.keys, r.key)
+	}
 	return t
 }
 
 // Get queues a read; its EXEC result carries the value.
 func (t *Txn) Get(key string) *Txn {
-	return t.add(key, "GET "+key, opGet)
+	return t.add(keyReq("GET", key))
 }
 
 // Set queues a write (ttl 0 = no expiry).
 func (t *Txn) Set(key, val string, ttl time.Duration) *Txn {
-	if t.err == nil && strings.ContainsAny(val, "\r\n") {
-		t.err = fmt.Errorf("client: value for %q contains newline", key)
-		return t
-	}
-	if ttl <= 0 {
-		return t.add(key, "SET "+key+" "+val, opSet)
-	}
-	ms := (ttl + time.Millisecond - 1) / time.Millisecond
-	return t.add(key, fmt.Sprintf("SETEX %s %d %s", key, ms, val), opSet)
+	return t.add(setReq(key, val, ttl))
 }
 
 // Del queues a delete; its EXEC result is Found when the key existed.
 func (t *Txn) Del(key string) *Txn {
-	return t.add(key, "DEL "+key, opDel)
+	return t.add(keyReq("DEL", key))
 }
 
 // Incr queues an increment by delta (negative subtracts; missing keys
 // start at 0).
 func (t *Txn) Incr(key string, delta int64) *Txn {
-	return t.add(key, fmt.Sprintf("INCR %s %d", key, delta), opIncr)
+	return t.add(numReq("INCR", key, delta))
 }
 
 // MaxUpdate queues a monotonic raise to val.
 func (t *Txn) MaxUpdate(key string, val int64) *Txn {
-	return t.add(key, fmt.Sprintf("MAXUPDATE %s %d", key, val), opIncr)
+	return t.add(numReq("MAXUPDATE", key, val))
 }
 
 // CAS queues a compare-and-set; its EXEC result is Found on success,
 // Conflict on a value mismatch, neither on a missing key.
 func (t *Txn) CAS(key, old, newVal string) *Txn {
-	if t.err == nil && (old == "" || strings.ContainsAny(old, " \r\n")) {
-		t.err = fmt.Errorf("client: CAS expected value %q must be one token", old)
-		return t
-	}
-	if t.err == nil && strings.ContainsAny(newVal, "\r\n") {
-		t.err = fmt.Errorf("client: value for %q contains newline", key)
-		return t
-	}
-	return t.add(key, "CAS "+key+" "+old+" "+newVal, opCAS)
+	return t.add(casReq(key, old, newVal))
 }
 
 // ExecTxn runs t as one MULTI…EXEC exchange and returns the per-op
@@ -242,78 +158,62 @@ func (c *Conn) ExecTxn(t *Txn) ([]Reply, error) {
 	if t.err != nil {
 		return nil, t.err
 	}
-	if c.closed {
-		return nil, ErrClosed
-	}
-	if c.broken != nil {
-		return nil, c.broken
-	}
-	if len(c.pending) > 0 {
-		return nil, errors.New("client: ExecTxn with requests still queued")
-	}
-	if len(t.lines) == 0 {
+	n := t.Len()
+	if n == 0 {
 		return nil, nil
 	}
-	if c.ioTimeout > 0 {
-		c.nc.SetDeadline(time.Now().Add(c.ioTimeout))
-		defer c.nc.SetDeadline(time.Time{})
+	var replies []Reply
+	send := func() error {
+		encode(c.w, "", &request{verb: "MULTI"})
+		c.w.Write(t.ops.Bytes())
+		// The trace rides on the EXEC line: that is the request whose span
+		// covers the transaction's OCC retries and commit.
+		return encode(c.w, c.trace, &request{verb: "EXEC"})
 	}
-	c.w.WriteString("MULTI\n")
-	for _, line := range t.lines {
-		c.w.WriteString(line)
-		c.w.WriteByte('\n')
-	}
-	// The trace rides on the EXEC line: that is the request whose span
-	// covers the transaction's OCC retries and commit.
-	c.writeTrace()
-	c.w.WriteString("EXEC\n")
-	if err := c.w.Flush(); err != nil {
-		return nil, c.fail(err)
-	}
-
 	// Reply sequence: MULTI ack, one line per queued op, then either an
 	// "EXEC <n>" header followed by n results or an ERR for the whole
 	// transaction. Queue-time rejections surface per line; the count is
 	// fixed either way, so the stream stays in sync.
-	line, err := c.readRawLine()
-	if err != nil {
-		return nil, c.fail(err)
-	}
-	if line != "OK" {
-		return nil, c.txnRefused(line, len(t.lines))
-	}
-	var queueErr error
-	for i := 0; i < len(t.lines); i++ {
-		line, err = c.readRawLine()
+	recv := func() error {
+		line, err := c.readRawLine()
 		if err != nil {
-			return nil, c.fail(err)
+			return err
 		}
-		if line != "QUEUED" && queueErr == nil {
-			queueErr = txnLineErr(line)
+		if line != "OK" {
+			return c.txnRefused(line, n)
 		}
-	}
-	line, err = c.readRawLine()
-	if err != nil {
-		return nil, c.fail(err)
-	}
-	count, ok := strings.CutPrefix(line, "EXEC ")
-	if !ok {
-		if queueErr != nil {
-			return nil, fmt.Errorf("%w: %w", ErrTxnAborted, queueErr)
+		var queueErr error
+		for i := 0; i < n; i++ {
+			if line, err = c.readRawLine(); err != nil {
+				return err
+			}
+			if line != "QUEUED" && queueErr == nil {
+				queueErr = txnLineErr(line)
+			}
 		}
-		return nil, txnLineErr(line)
-	}
-	n, err := strconv.Atoi(count)
-	if err != nil || n != len(t.lines) {
-		return nil, c.fail(fmt.Errorf("client: bad EXEC header %q for %d ops", line, len(t.lines)))
-	}
-	replies := make([]Reply, 0, n)
-	for i := 0; i < n; i++ {
-		rep, err := c.readReply(t.codes[i])
-		if err != nil {
-			return nil, c.fail(err)
+		if line, err = c.readRawLine(); err != nil {
+			return err
 		}
-		replies = append(replies, rep)
+		count, ok := strings.CutPrefix(line, "EXEC ")
+		if !ok {
+			if queueErr != nil {
+				return fmt.Errorf("%w: %w", ErrTxnAborted, queueErr)
+			}
+			return txnLineErr(line)
+		}
+		if got, err := strconv.Atoi(count); err != nil || got != n {
+			return c.fail(fmt.Errorf("client: bad EXEC header %q for %d ops", line, n))
+		}
+		replies = make([]Reply, n)
+		for i := range replies {
+			if replies[i], err = c.readReply(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := c.exchange("ExecTxn", 0, send, recv); err != nil {
+		return nil, err
 	}
 	return replies, nil
 }
@@ -324,7 +224,7 @@ func (c *Conn) ExecTxn(t *Txn) ([]Reply, error) {
 func (c *Conn) txnRefused(multiLine string, n int) error {
 	for i := 0; i < n+1; i++ {
 		if _, err := c.readRawLine(); err != nil {
-			return c.fail(err)
+			return err
 		}
 	}
 	return txnLineErr(multiLine)
@@ -338,52 +238,31 @@ func txnLineErr(line string) error {
 	return fmt.Errorf("client: unexpected transaction reply %q", line)
 }
 
-// readRawLine reads one reply line without interpreting it.
-func (c *Conn) readRawLine() (string, error) {
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(line, "\r\n"), nil
-}
-
 // Incr is a pooled one-shot INCR/DECR. Never retried: a lost ack leaves
 // the increment's fate unknown, and re-running it would double-count.
 func (p *Pool) Incr(key string, delta int64) error {
-	return p.do(false, func(c *Conn) error {
-		return c.Incr(key, delta)
-	})
+	_, err := p.roundTrip(false, "", func(c *Conn) error { return c.QueueIncr(key, delta) })
+	return err
 }
 
 // MaxUpdate is a pooled one-shot MAXUPDATE. Never retried (same
 // non-idempotence rule as Incr; a raced retry can resurrect a lower max
 // observed by other readers in between).
 func (p *Pool) MaxUpdate(key string, val int64) error {
-	return p.do(false, func(c *Conn) error {
-		return c.MaxUpdate(key, val)
-	})
+	_, err := p.roundTrip(false, "", func(c *Conn) error { return c.QueueMaxUpdate(key, val) })
+	return err
 }
 
 // CAS is a pooled one-shot compare-and-set. Never retried: after a lost
 // ack the first attempt may have committed, and retrying would report a
 // spurious conflict — or worse, succeed against its own write.
 func (p *Pool) CAS(key, old, newVal string) (stored, found bool, err error) {
-	err = p.do(false, func(c *Conn) error {
-		var cerr error
-		stored, found, cerr = c.CAS(key, old, newVal)
-		return cerr
-	})
-	return stored, found, err
+	rep, err := p.roundTrip(false, "", func(c *Conn) error { return c.QueueCAS(key, old, newVal) })
+	return rep.Found, rep.Found || rep.Conflict, err
 }
 
 // ExecTxn runs t through a pooled connection, exactly once (MULTI…EXEC is
 // the least idempotent exchange the protocol has).
 func (p *Pool) ExecTxn(t *Txn) ([]Reply, error) {
-	var replies []Reply
-	err := p.do(false, func(c *Conn) error {
-		var cerr error
-		replies, cerr = c.ExecTxn(t)
-		return cerr
-	})
-	return replies, err
+	return pooled(p, false, func(c *Conn) ([]Reply, error) { return c.ExecTxn(t) })
 }
